@@ -73,13 +73,10 @@ def _params(args) -> ParamSet:
 
 def curve_to_csv(curve) -> str:
     """theta, Re w, Im w per row; 17 significant digits, '\\n' endings."""
-    lines = ["theta,re_w,im_w"]
     M = curve.M
-    for k in range(M):
-        w = curve.samples[k]
-        theta = 2.0 * math.pi * k / M
-        lines.append(f"{theta:.17g},{w.real:.17g},{w.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    theta = 2.0 * math.pi * np.arange(M) / M
+    rows = np.column_stack([theta, curve.samples.real, curve.samples.imag])
+    return "theta,re_w,im_w\n" + ("%.17g,%.17g,%.17g\n" * M) % tuple(rows.ravel().tolist())
 
 
 def curve_to_svg(curve, size: int = 800, margin: int = 60) -> str:
@@ -98,8 +95,9 @@ def curve_to_svg(curve, size: int = 800, margin: int = 60) -> str:
     def sy(y):
         return 0.5 * size - (y - cy) * scale
 
-    pts = " ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in zip(xs, ys))
-    pts += f" {sx(xs[0]):.3f},{sy(ys[0]):.3f}"
+    # the closed polyline repeats its first point
+    xy = np.column_stack([sx(np.append(xs, xs[0])), sy(np.append(ys, ys[0]))])
+    pts = " ".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist())
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">\n'

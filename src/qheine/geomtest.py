@@ -6,22 +6,32 @@ chain), direct sampling of the q-close-to-convexity inequality
 tests on sampled boundary curves for convexity in the direction of the
 imaginary axis and for full convexity.
 
-Curves are images of circles |z| = r under maps of the form
-z * N(z)/D(z) with N, D given by series coefficients.  Sampling folds the
-coefficients modulo the sample count and applies one inverse FFT, which is
-exact for uniformly spaced angles and fast enough for dense sweeps.
+Curves are images of circles |z| = r under maps z * N(z)/D(z).  Each of N
+and D is a side L (s z)^m/(1 - s z) + sum_n C_n (s z)^n.  A Heine series
+Phi[a,b;c;q,sz] is split at its pole z = 1/s: its coefficients A_n tend to
+L = (a,b;q)_inf/(c,q;q)_inf at rate q^n, so C_n = A_n - L = L expm1(-S_n),
+with S_n the tail sum of log(A_{k+1}/A_k), needs about log(eps)/log(q)
+terms however close r is to 1 (qcore.heine_pole_split; C_n = A_n before
+the index m where A_n comes near L).  Gauss series keep L = 0 and take as
+many coefficients as r needs.  The pole part is evaluated directly; the
+polynomial part is folded modulo the sample count and turned into samples
+by one inverse FFT, exact at uniformly spaced angles.  The split does not
+cure cancellation: where |L| dwarfs |Phi|, as near z = -r for q near 1 and
+small a, b, c, samples lose digits in proportion to |L/Phi|.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CutError, DegenerateCurve, DomainError
-from .qcore import ParamSet, gauss_coeffs, geometric_powers, heine_coeffs, log_q, q_gamma
+from .errors import CutError, DegenerateCurve, DomainError, NoConvergence
+from .qcore import (ParamSet, gauss_coeffs, geometric_powers, heine_coeffs,
+                    heine_pole_split, log_q, q_gamma)
 
 _ADAPTIVE_TOL = 1e-13
 _MAX_COEFFS = 1 << 20
@@ -40,78 +50,79 @@ def _adaptive_coeffs(coeff_fn: Callable[[int], np.ndarray], r: float) -> np.ndar
         weighted = np.abs(c) * geometric_powers(r, len(c))
         scale = max(1.0, float(weighted.sum()))
         tail = float(weighted[-8:].max()) * r / (1.0 - r)
-        if tail <= _ADAPTIVE_TOL * scale or N >= _MAX_COEFFS:
+        if tail <= _ADAPTIVE_TOL * scale:
             return c
-        N *= 2
+        if N >= _MAX_COEFFS:
+            raise NoConvergence(f"series tail {tail:.3e} at r={r} after {N} coefficients")
+        N = min(2 * N, _MAX_COEFFS)
 
 
-def _eval_on_rings(coeffs: np.ndarray, radii: np.ndarray, M: int) -> np.ndarray:
-    """sum_n c_n (r_j e^{2 pi i k/M})^n for every radius, shape (len(radii), M).
+# A side of a curve map is a function r -> (L, m, C, s) standing for
+# L (s z)^m/(1 - s z) + sum_n C_n (s z)^n on the circle |z| = r.
 
-    Folds the coefficients modulo M: the residue-m fold at radius r is
-    r^m * P_m(r^M) with P_m the polynomial of every M-th coefficient, so
-    one matrix product against the r^M power table evaluates all folds,
-    and one batched inverse FFT turns folds into uniform-angle samples.
+def _heine_side(p: ParamSet, s: float = 1.0):
+    """Phi[a,b;c;q,s z] by its pole split, the same at every radius."""
+    return lambda r: (*heine_pole_split(p), s)
+
+
+def _series_side(coeff_fn: Callable[[int], np.ndarray]):
+    """A series without a pole, with as many coefficients as r needs."""
+    return lambda r: (0.0, 0, _adaptive_coeffs(coeff_fn, r), 1.0)
+
+
+def _one_side(r):
+    return 0.0, 0, np.ones(1), 1.0
+
+
+@lru_cache(maxsize=128)
+def _turns(M: int, m: int = 1) -> np.ndarray:
+    """e^{2 pi i k m/M} for k = 0..M-1, reduced mod M for accuracy; read-only."""
+    out = np.exp(2j * np.pi * ((np.arange(M) * m) % M) / M)
+    out.setflags(write=False)
+    return out
+
+
+def _eval_on_rings(side, radii: np.ndarray, M: int) -> np.ndarray:
+    """A side at r_j e^{2 pi i k/M} for every radius, shape (len(radii), M).
+
+    The pole part L (s z)^m/(1 - s z) is evaluated directly.  The polynomial
+    part folds C_n (s r_j)^n modulo M: the residue-j fold at radius rho is
+    rho^j * P_j(rho^M) with P_j the polynomial of every M-th coefficient,
+    so one matrix product against the rho^M power table evaluates all
+    folds, and one batched inverse FFT turns folds into uniform-angle
+    samples.  The coefficients are requested at the largest radius.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
     radii = np.asarray(radii, dtype=float)
-    pad = (-len(coeffs)) % M
-    if pad:
-        coeffs = np.concatenate([coeffs, np.zeros(pad)])
-    C = coeffs.reshape(-1, M).T  # (M, T)
-    s = radii**M
-    S = np.vander(s, C.shape[1], increasing=True).T  # (T, R)
-    F = (C @ S) * np.vander(radii, M, increasing=True).T  # folded, (M, R)
-    return (np.fft.ifft(F, axis=0) * M).T
-
-
-def _circle_eval(coeffs: np.ndarray, r: float, M: int) -> np.ndarray:
-    """sum_n c_n (r e^{2 pi i k/M})^n for k = 0..M-1 via fold + inverse FFT."""
-    return _eval_on_rings(coeffs, np.array([r]), M)[0]
+    L, m, coeffs, s = side(float(radii.max()))
+    rho = s * radii
+    C = np.concatenate([coeffs, np.zeros((-len(coeffs)) % M)]).reshape(-1, M).T  # (M, T)
+    S = np.vander(rho**M, C.shape[1], increasing=True).T  # (T, R)
+    F = (C @ S) * np.vander(rho, M, increasing=True).T  # folded, (M, R)
+    out = (np.fft.ifft(F, axis=0) * M).T
+    if L != 0.0:
+        rho = rho[:, None]
+        out += L * rho**m * _turns(M, m) / (1.0 - rho * _turns(M))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class CurveMap:
-    """A map z * N(z)/D(z); num and den produce series coefficients up to N."""
+    """A map z * N(z)/D(z); num and den are sides r -> (L, m, C, s) as above."""
 
     label: str
-    num: Callable[[int], np.ndarray]
-    den: Callable[[int], np.ndarray]
+    num: Callable[[float], tuple]
+    den: Callable[[float], tuple]
     z_prefactor: bool = True
 
     def sample_circle(self, r: float, M: int) -> np.ndarray:
-        cn = _adaptive_coeffs(self.num, r)
-        cd = _adaptive_coeffs(self.den, r)
-        w = _circle_eval(cn, r, M) / _circle_eval(cd, r, M)
+        radius = np.array([r])
+        w = _eval_on_rings(self.num, radius, M)[0] / _eval_on_rings(self.den, radius, M)[0]
         if self.z_prefactor:
-            w = w * (r * np.exp(2j * np.pi * np.arange(M) / M))
+            w = w * (r * _turns(M))
         bad = np.nonzero(~np.isfinite(w))[0]
         if len(bad):
             raise CutError(f"{self.label}: non-finite curve sample at index {bad[0]}")
         return w
-
-    def __call__(self, z: complex) -> complex:
-        z = complex(z)
-        cn = _adaptive_coeffs(self.num, max(abs(z), 1e-6))
-        cd = _adaptive_coeffs(self.den, max(abs(z), 1e-6))
-        num = 0j
-        for c in cn[::-1]:
-            num = num * z + c
-        den = 0j
-        for c in cd[::-1]:
-            den = den * z + c
-        w = num / den
-        return w * z if self.z_prefactor else w
-
-
-def _ones(N: int) -> np.ndarray:
-    return np.ones(1)
-
-
-def _scaled(coeff_fn, s: float):
-    if s == 1.0:
-        return coeff_fn
-    return lambda N: coeff_fn(N) * geometric_powers(s, N + 1)
 
 
 def map_shift_bc(p: ParamSet, normalized: bool = False) -> CurveMap:
@@ -123,32 +134,24 @@ def map_shift_bc(p: ParamSet, normalized: bool = False) -> CurveMap:
     """
     s = p.q if normalized else 1.0
     shifted = p.shifted(b=p.b * p.q, c=p.c * p.q)
-    return CurveMap(
-        "shift_bc_qz" if normalized else "shift_bc",
-        _scaled(lambda N: heine_coeffs(shifted, N).coeffs, s),
-        _scaled(lambda N: heine_coeffs(p, N).coeffs, s),
-    )
+    return CurveMap("shift_bc_qz" if normalized else "shift_bc",
+                    _heine_side(shifted, s), _heine_side(p, s))
 
 
 def map_shift_a(p: ParamSet) -> CurveMap:
     """z Phi[aq,b;c;q,z]/Phi[a,b;c;q,z]."""
-    shifted = p.shifted(a=p.a * p.q)
-    return CurveMap("shift_a",
-                    lambda N: heine_coeffs(shifted, N).coeffs,
-                    lambda N: heine_coeffs(p, N).coeffs)
+    return CurveMap("shift_a", _heine_side(p.shifted(a=p.a * p.q)), _heine_side(p))
 
 
 def map_shift_all(p: ParamSet) -> CurveMap:
     """z Phi[aq,bq;cq;q,z]/Phi[a,b;c;q,z]."""
     shifted = p.shifted(a=p.a * p.q, b=p.b * p.q, c=p.c * p.q)
-    return CurveMap("shift_all",
-                    lambda N: heine_coeffs(shifted, N).coeffs,
-                    lambda N: heine_coeffs(p, N).coeffs)
+    return CurveMap("shift_all", _heine_side(shifted), _heine_side(p))
 
 
 def map_zphi(p: ParamSet) -> CurveMap:
     """z Phi[a,b;c;q,z], the function whose q-close-to-convexity is tested."""
-    return CurveMap("zphi", lambda N: heine_coeffs(p, N).coeffs, _ones)
+    return CurveMap("zphi", _heine_side(p), _one_side)
 
 
 def map_gauss_ratio(a: float, b: float, c: float) -> CurveMap:
@@ -156,12 +159,12 @@ def map_gauss_ratio(a: float, b: float, c: float) -> CurveMap:
     degenerate case z F(0,b;c;z)/F(-1,b;c;z), whose image approaches the
     unit disk as c grows)."""
     return CurveMap("gauss_ratio",
-                    lambda N: gauss_coeffs(a + 1.0, b, c, N).coeffs,
-                    lambda N: gauss_coeffs(a, b, c, N).coeffs)
+                    _series_side(lambda N: gauss_coeffs(a + 1.0, b, c, N).coeffs),
+                    _series_side(lambda N: gauss_coeffs(a, b, c, N).coeffs))
 
 
 def identity_map() -> CurveMap:
-    return CurveMap("identity", _ones, _ones)
+    return CurveMap("identity", _one_side, _one_side)
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +296,10 @@ def kq_membership_test(p: ParamSet, grid: KqGrid = KqGrid()) -> KqReport:
     point z = 0 is excluded (there the criterion degenerates to the
     normalisation f'(0) = 1).
     """
-    coeffs = _adaptive_coeffs(lambda N: heine_coeffs(p, N).coeffs, grid.r_max)
     radii = grid.r_max * np.sin(np.pi * (np.arange(grid.n_radii) + 1.0)
                                 / (2.0 * grid.n_radii))
     angles = np.exp(2j * np.pi * np.arange(grid.n_angles) / grid.n_angles)
-    phi = _eval_on_rings(coeffs, np.concatenate([radii, p.q * radii]),
+    phi = _eval_on_rings(_heine_side(p), np.concatenate([radii, p.q * radii]),
                          grid.n_angles)
     zs = radii[:, None] * angles[None, :]
     fz = zs * phi[: grid.n_radii]

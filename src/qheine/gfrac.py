@@ -26,7 +26,7 @@ from .errors import (
     InconsistentCoefficients,
     NoConvergence,
 )
-from .qcore import EvalResult, ParamSet, heine_phi, series_reciprocal
+from .qcore import EvalResult, ParamSet, heine_phi, require_finite, series_reciprocal
 
 _SERIES_FRACTION_SPLIT = 0.9
 _CUT_EPS = 1e-12
@@ -214,6 +214,7 @@ def gfraction_eval(gf: GFraction, z: complex, tol: float = 1e-13) -> EvalResult:
     >= 1 within 1e-12) raise CutError; running out of depth (2^16 or the
     stored coefficient count) raises NoConvergence.
     """
+    require_finite(z=z)
     w = complex(z) * gf.argument_scale
     if abs(w.imag) < _CUT_EPS and w.real >= 1.0 - _CUT_EPS:
         raise CutError(f"z={z} lies on the fraction's cut")
@@ -277,6 +278,7 @@ def ratio_eval(variant: RatioVariant, p: ParamSet, z: complex) -> complex:
     z Phi[aq,bq;cq] / Phi[a,b;c] = ((1-c)/(a(1-b))) (Phi[aq,b;c]/Phi[a,b;c] - 1),
     so it requires a != 0 and b != 1.
     """
+    require_finite(z=z)
     z = complex(z)
     a, b, c, q = p.a, p.b, p.c, p.q
     if variant is RatioVariant.SHIFT_ALL and (a == 0.0 or b == 1.0):

@@ -9,6 +9,7 @@ All evaluators are pure functions; nothing here holds mutable state.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,6 +24,8 @@ INFINITY = math.inf
 DEFAULT_TOL = 1e-12
 MAX_TERMS = 100_000
 
+_EPS = float(np.finfo(float).eps)
+
 # |a| q^k below this leaves an infinite product fixed at double precision
 _INF_PRODUCT_EPS = 1e-17
 # the relative-term stopping rule must fire this many times in a row
@@ -31,6 +34,13 @@ _CONSECUTIVE_SMALL = 3
 # absolute-term sum, weighted by the identity prefactor it meets, exceeds
 # this; beyond it double cancellation error would swamp residuals near 1e-13
 _ESCALATE_SCALE = 100.0
+
+
+def require_finite(**values) -> None:
+    """Raise DomainError naming the first NaN or infinite argument."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +57,7 @@ class ParamSet:
     q: float
 
     def __post_init__(self):
+        require_finite(a=self.a, b=self.b, c=self.c)
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"q must lie in (0,1), got {self.q}")
         if self.c > 0.0:
@@ -150,6 +161,53 @@ def heine_coeffs(p: ParamSet, N: int) -> PowerSeries:
     return PowerSeries(_heine_coeffs_cached(p, N))
 
 
+@lru_cache(maxsize=256)
+def heine_pole_split(p: ParamSet) -> Tuple[float, int, np.ndarray]:
+    """(L, m, C) with Phi[a,b;c;q,z] = L z^m/(1-z) + sum_n C_n z^n.
+
+    L = (a,b;q)_inf / (c,q;q)_inf is the limit of the coefficients A_n;
+    C_n = A_n for n < m and C_n = A_n - L from m on, where m is the first
+    index beyond which |A_n - L| <= |A_n|, so no C_n outgrows its A_n.
+    A_n - L decays like q^n: len(C) depends on q and the parameters, never
+    on |z|.  With S_n = sum_{k>=n} log|A_{k+1}/A_k|, summed factor by factor
+    in log1p form, A_n - L = L expm1(-S_n) (or -L (e^{-S_n} + 1) where an odd
+    number of factors beyond n are negative) keeps full relative accuracy
+    where A_n and L agree to many digits.  L = A_m e^{S_m} continues the
+    product that gives A_0..A_m, so the pole and the leading coefficients
+    cancel consistently where |L| dwarfs |Phi|.  A vanishing numerator factor
+    terminates the series: then L = 0, m = 0 and C holds its coefficients.
+    The result is cached; C is read-only.
+    """
+    a, b, c, q = p.a, p.b, p.c, p.q
+    # the dropped part sum_{n>=K} |A_n - L| is at most |L| size q^K / (1-q)^2
+    size = abs(a) + abs(b) + abs(c) + q
+    K = max(2, math.ceil(math.log(_EPS * (1.0 - q) ** 2 / size) / math.log(q)))
+    if K > MAX_TERMS:
+        raise NoConvergence(f"pole split needs {K} terms at q={q}")
+    # 1 - x are the factors of A_{k+1}/A_k; summing their logs to 2K keeps
+    # S_n, and so A_n - L, accurate relative to itself for every n < K
+    x = np.outer([a, b, c, q], geometric_powers(q, 2 * K))
+    if np.any(x[2] == 1.0):
+        raise DenominatorZero(f"(1 - c q^n) vanished for p={p}")
+    zero = np.nonzero(np.any(x[:2] == 1.0, axis=0))[0]
+    if len(zero):
+        return 0.0, 0, heine_coeffs(p, int(zero[0])).coeffs
+    lg = np.log1p(np.where(x > 1.0, x - 2.0, -x))  # log|1 - x|
+    logs = lg[0] + lg[1] - lg[2] - lg[3]
+    negative = np.sum(x[:3] > 1.0, axis=0)
+    S = np.cumsum(logs[::-1])[::-1][:K]
+    flip = np.cumsum(negative[::-1])[::-1][:K] % 2 == 1
+    rel = np.where(flip, -np.exp(-S) - 1.0, np.expm1(-S))  # (A_n - L)/L
+    larger = np.nonzero(np.abs(rel) > np.exp(-S))[0]
+    m = min(int(larger[-1]) + 1, K - 1) if len(larger) else 0
+    A = heine_coeffs(p, m).coeffs
+    L = float(A[m] * np.exp(S[m])) * (-1.0 if flip[m] else 1.0)  # inf beyond double range
+    C = L * rel
+    C[:m] = A[:m]
+    C.setflags(write=False)
+    return L, m, C
+
+
 def _sum_with_stopping(term_ratio: Callable[[int], complex], z: complex,
                        tol: float) -> Tuple[EvalResult, float]:
     """Kahan-compensated sum of t_0=1, t_{n+1} = t_n * term_ratio(n) * z.
@@ -186,6 +244,7 @@ def _sum_with_stopping(term_ratio: Callable[[int], complex], z: complex,
 
 
 def _heine_phi_scaled(p: ParamSet, z: complex, tol: float) -> Tuple[EvalResult, float]:
+    require_finite(z=z)
     if abs(z) >= 1.0:
         raise DomainError(f"Heine series requires |z| < 1, got |z|={abs(z)}")
     if tol <= 0.0:
@@ -216,6 +275,7 @@ def gauss_f(a: float, b: float, c: float, z: complex,
     Terminating cases (a or b a nonpositive integer) stop at the zero
     Pochhammer factor.
     """
+    require_finite(a=a, b=b, c=c, z=z)
     if abs(z) >= 1.0:
         raise DomainError(f"Gauss series requires |z| < 1, got |z|={abs(z)}")
     if c <= 0.0 and c == int(c):
@@ -337,6 +397,7 @@ def verify_identities(p: ParamSet, z: complex, tol: float = DEFAULT_TOL) -> dict
     would swamp the residuals, the values are recomputed in extended
     precision so the report reflects the identities, not roundoff.
     """
+    require_finite(z=z)
     if abs(z) >= 1.0:
         raise DomainError(f"identities require |z| < 1, got |z|={abs(z)}")
     a, b, c, q = p.a, p.b, p.c, p.q

@@ -1,11 +1,13 @@
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qheine.cli import curve_to_csv, curve_to_svg, load_grid_config, main
-from qheine.geomtest import boundary_curve, identity_map
+from qheine.geomtest import BoundaryCurve, boundary_curve, identity_map
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +48,12 @@ class TestEval:
                                "-c", "0.6", "-q", "0.8", "-z", "1.5")
         assert rc == 2
         assert "DomainError" in err
+
+    def test_non_finite_parameter_exit_2(self, capsys):
+        rc, _, err = run_cli(capsys, "eval", "-a", "nan", "-b", "0.7",
+                             "-c", "0.6", "-q", "0.8", "-z", "0.3")
+        assert rc == 2
+        assert err.startswith("DomainError: a must be finite")
 
     def test_bad_z_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, "eval", "--phi", "-a", "0.9", "-b", "0.7",
@@ -182,6 +190,43 @@ class TestBoundaryAndFigures:
                                      "c": 0.6, "q": 0.8}
         svg = out.read_text()
         assert svg.count("<polyline") == 1
+
+
+def reference_csv(curve):
+    """Row-by-row CSV writer the column-wise one must match byte for byte."""
+    lines = ["theta,re_w,im_w"]
+    for k in range(curve.M):
+        w = curve.samples[k]
+        theta = 2.0 * math.pi * k / curve.M
+        lines.append(f"{theta:.17g},{w.real:.17g},{w.imag:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_polyline(curve, size=800, margin=60):
+    """The SVG polyline points, written point by point."""
+    xs, ys = curve.samples.real, curve.samples.imag
+    bw = max(float(xs.max()) - float(xs.min()), 1e-30)
+    bh = max(float(ys.max()) - float(ys.min()), 1e-30)
+    scale = min((size - 2 * margin) / bw, (size - 2 * margin) / bh)
+    cx, cy = 0.5 * (float(xs.min()) + float(xs.max())), 0.5 * (float(ys.min()) + float(ys.max()))
+    pts = [f"{0.5 * size + (x - cx) * scale:.3f},{0.5 * size - (y - cy) * scale:.3f}"
+           for x, y in zip(xs, ys)]
+    return " ".join(pts + pts[:1])
+
+
+class TestCurveWriters:
+    @pytest.mark.parametrize("M", [256, 1000, 4096])
+    @pytest.mark.parametrize("magnitude", [1e-300, 1.0, 1e300])
+    def test_byte_identical_to_row_loop(self, M, magnitude):
+        rng = np.random.default_rng(M)
+        w = magnitude * (rng.standard_normal(M) + 1j * rng.standard_normal(M))
+        w[:8] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                 complex(5e-324, -5e-324), complex(-1e-300, 1e-300),
+                 complex(1e300, -1e300), complex(-0.0, 1.0), complex(1.0, -0.0)]
+        curve = BoundaryCurve(0.9, w)
+        assert curve_to_csv(curve) == reference_csv(curve)
+        svg = curve_to_svg(curve)
+        assert svg.split('points="')[1].split('"')[0] == reference_polyline(curve)
 
 
 SCAN_CFG = """\

@@ -1,8 +1,15 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import sample_params
-from qheine.errors import DegenerateCurve, DomainError
+from conftest import sample_hypothesis_passing, sample_params
+from qheine import geomtest
+from qheine.errors import DegenerateCurve, DomainError, NoConvergence
+from qheine.gfrac import RatioVariant, hypothesis_check
 from qheine.geomtest import (
     BoundaryCurve,
     KqGrid,
@@ -149,6 +156,26 @@ class TestBoundaryCurve:
             boundary_curve(identity_map(), 1.0, 256)
         with pytest.raises(DomainError):
             boundary_curve(identity_map(), 0.5, 100)
+        for r in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                boundary_curve(identity_map(), r, 256)
+
+    def test_adaptive_side_cap_raises(self, monkeypatch):
+        # the Gauss numerator of figure 1 needs far more than 512 terms at r = 0.999
+        monkeypatch.setattr(geomtest, "_MAX_COEFFS", 512)
+        with pytest.raises(NoConvergence):
+            boundary_curve(map_gauss_ratio(0.0, 0.0199, 0.1), 0.999, 256)
+
+    @pytest.mark.parametrize("abcq", [(1.5, 0.3, 0.2, 0.5), (0.3, 0.4, 1.7, 0.5),
+                                      (4.0, 0.6, 0.3, 0.5), (2.0, 0.5, 0.2, 0.5)])
+    def test_signed_and_terminating_maps_pointwise(self, abcq):
+        p = ParamSet(*abcq)
+        curve = boundary_curve(map_shift_a(p), 0.9, 256)
+        for k in (0, 40, 128, 201):
+            z = 0.9 * np.exp(2j * np.pi * k / 256)
+            want = z * (heine_phi(p.shifted(a=p.a * p.q), z, 1e-14).value
+                        / heine_phi(p, z, 1e-14).value)
+            assert abs(curve.samples[k] - want) < 1e-11 * max(1.0, abs(want))
 
     def test_sampling_matches_pointwise(self, p_bc):
         cmap = map_shift_bc(p_bc)
@@ -243,3 +270,76 @@ class TestTheoremMapsVerticallyConvex:
         z = 0.9
         want = z * heine_phi(p_t1, z, 1e-14).value
         assert abs(curve.samples[0] - want) < 1e-12
+
+
+def mp_split(a, b, c, q, dps=30):
+    """(L, [A_n - L]) of Phi[a,b;c;q,.] in mpmath, L from its infinite products."""
+    with mpmath.workdps(dps + 10):
+        a, b, c, q = (mpmath.mpf(x) for x in (a, b, c, q))
+        L = mpmath.qp(a, q) * mpmath.qp(b, q) / (mpmath.qp(c, q) * mpmath.qp(q, q))
+        D, A, qk = [], mpmath.mpf(1), mpmath.mpf(1)
+        for _ in range(int((dps + 10) * math.log(10) / -math.log(q)) + 10):
+            D.append(A - L)
+            A *= (1 - a * qk) * (1 - b * qk) / ((1 - c * qk) * (1 - q * qk))
+            qk *= q
+        return L, D
+
+
+def mp_eval(split, z):
+    """Value of a split at z, and its rounding scale |L/(1-z)| + sum |D_n z^n|."""
+    L, D = split
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z)
+        value = mpmath.polyval(D[::-1], z) + L / (1 - z)
+        scale = abs(L / (1 - z)) + mpmath.polyval([abs(d) for d in D[::-1]], abs(z))
+        return complex(value), float(scale)
+
+
+def test_mp_split_matches_qhyper():
+    split = mp_split(0.9, 0.7, 0.6, 0.8)
+    for z in (-0.99, 0.99j):
+        want = mpmath.qhyper([0.9, 0.7], [0.6], 0.8, z, maxterms=10**4)
+        assert abs(mp_eval(split, z)[0] - complex(want)) < 1e-25 * abs(want)
+
+
+@st.composite
+def passing_curves(draw):
+    c = draw(st.floats(0.0, 0.9))
+    a, b = draw(st.floats(c, 0.95)), draw(st.floats(c, 0.95))
+    p = ParamSet(a, b, c, draw(st.floats(0.1, 0.9)))
+    label = draw(st.sampled_from(["shift_bc_qz", "shift_a", "shift_all"]))
+    variant = RatioVariant.SHIFT_BC if label == "shift_bc_qz" else RatioVariant.SHIFT_A
+    assume(hypothesis_check(variant, p).passed)
+    return label, p, draw(st.sampled_from([0.99, 0.999]))
+
+
+@given(passing_curves())
+@settings(max_examples=25, deadline=None)
+def test_split_samples_match_mpmath(case):
+    """Samples at z = r, ir, -r, -ir within 1e-12 of the diameter, plus the
+    rounding the split cannot avoid where |L| dwarfs |Phi| (near z = -r for
+    q near 0.9 and small a, b, c)."""
+    label, p, r = case
+    a, b, c, q = p.a, p.b, p.c, p.q
+    cmap, num, s = {"shift_bc_qz": (map_shift_bc(p, normalized=True), (a, b * q, c * q), q),
+                    "shift_a": (map_shift_a(p), (a * q, b, c), 1.0),
+                    "shift_all": (map_shift_all(p), (a * q, b * q, c * q), 1.0)}[label]
+    w = boundary_curve(cmap, r, 256).samples
+    diam = float(np.hypot(np.ptp(w.real), np.ptp(w.imag)))
+    num_split, den_split = mp_split(*num, q), mp_split(a, b, c, q)
+    for k in (0, 64, 128, 192):
+        z = r * np.exp(2j * np.pi * k / 256)
+        (vn, sn), (vd, sd) = mp_eval(num_split, s * z), mp_eval(den_split, s * z)
+        want = z * vn / vd
+        rounding = 16 * np.finfo(float).eps * (sn / abs(vn) + sd / abs(vd)) * abs(want)
+        assert abs(w[k] - want) <= 1e-12 * diam + rounding, (k, abs(w[k] - want) / diam)
+
+
+def test_split_term_count_ignores_radius():
+    rng = np.random.default_rng(23)
+    for variant, make in ((RatioVariant.SHIFT_BC, lambda p: map_shift_bc(p, normalized=True)),
+                          (RatioVariant.SHIFT_A, map_shift_a)):
+        for p in sample_hypothesis_passing(rng, 10, variant, q_max=0.9):
+            for side in (make(p).num, make(p).den):
+                assert len(side(0.999)[2]) == len(side(0.5)[2]) <= 400
+        assert len(make(ParamSet(0.9, 0.95, 0.9, 0.9)).den(0.999)[2]) <= 400

@@ -154,6 +154,14 @@ class TestGFractionEval:
         with pytest.raises(CutError):
             gfraction_eval(gf_z, p_bc.q + 0.05)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, -math.inf)])
+    def test_non_finite_z_rejected(self, p_a, bad):
+        with pytest.raises(DomainError, match="finite"):
+            gfraction_eval(gfraction_coeffs(A, p_a, 64), bad)
+        for variant in (BC, A, ALL):
+            with pytest.raises(DomainError, match="finite"):
+                ratio_eval(variant, p_a, bad)
+
     def test_depth_exhaustion(self, p_a):
         # far too few stored coefficients for a point near the cut
         gf = gfraction_coeffs(A, p_a, 4)

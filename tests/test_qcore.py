@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qheine.errors import DomainError
+from qheine.errors import DomainError, NoConvergence
 from qheine.qcore import (
     INFINITY,
     ParamSet,
@@ -14,6 +14,7 @@ from qheine.qcore import (
     gauss_f,
     heine_coeffs,
     heine_phi,
+    heine_pole_split,
     log_q,
     q_diff,
     q_gamma,
@@ -30,6 +31,9 @@ params_st = st.tuples(
     st.floats(min_value=0.0, max_value=0.95),
     st.floats(min_value=0.1, max_value=0.9),
 )
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 def brute_pochhammer(a, q, n):
@@ -109,6 +113,97 @@ class TestParamSet:
 
     def test_large_c_off_ladder_is_fine(self):
         ParamSet(0.5, 0.5, 1.7, 0.5)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_rejected(self, bad):
+        for args in ((bad, 0.7, 0.6, 0.8), (0.9, bad, 0.6, 0.8),
+                     (0.9, 0.7, bad, 0.8), (0.9, 0.7, 0.6, bad)):
+            with pytest.raises(DomainError):
+                ParamSet(*args)
+
+
+def mp_phi(p, z):
+    with mpmath.workdps(30):
+        return complex(mpmath.qhyper([p.a, p.b], [p.c], p.q, z))
+
+
+def split_value(split, z):
+    L, m, C = split
+    return L * z**m / (1.0 - z) + np.polyval(C[::-1], z)
+
+
+class TestHeinePoleSplit:
+    # sets with a negative factor (a > 1, c > 1) or negative parameters
+    # carry their sign through the split; figure 4's set has A_n and L
+    # agreeing to many digits
+    SETS = [(0.9, 0.7, 0.6, 0.8), (0.99, 0.998, 0.98, 0.9), (1.5, 0.3, 0.2, 0.5),
+            (0.3, 0.4, 1.7, 0.5), (2.5, -0.4, 3.3, 0.6), (-0.5, -0.3, -0.2, 0.4)]
+
+    @pytest.mark.parametrize("abcq", SETS)
+    def test_limit_and_values_match_mpmath(self, abcq):
+        p = ParamSet(*abcq)
+        split = heine_pole_split(p)
+        with mpmath.workdps(30):
+            a, b, c, q = (mpmath.mpf(x) for x in abcq)
+            want_L = float(mpmath.qp(a, q) * mpmath.qp(b, q)
+                           / (mpmath.qp(c, q) * mpmath.qp(q, q)))
+        assert split[0] == pytest.approx(want_L, rel=4e-15)
+        for z in (0.5, -0.9 + 0.1j, 0.95j):
+            assert abs(split_value(split, z) - mp_phi(p, z)) <= 1e-13 * max(abs(want_L), 1.0)
+
+    def test_differences_keep_relative_accuracy(self):
+        # figure 4's set: A_n - L falls to 1e-17 |L| while A_n and L stay O(1)
+        p = ParamSet(0.99, 0.998, 0.98, 0.9)
+        L, m, C = heine_pole_split(p)
+        with mpmath.workdps(50):
+            a, b, c, q = (mpmath.mpf(x) for x in (p.a, p.b, p.c, p.q))
+            want_L = mpmath.qp(a, q) * mpmath.qp(b, q) / (mpmath.qp(c, q) * mpmath.qp(q, q))
+            want, A = [], mpmath.mpf(1)
+            for k in range(len(C)):
+                want.append(float(A - want_L))
+                A *= (1 - a * q**k) * (1 - b * q**k) / ((1 - c * q**k) * (1 - q**(k + 1)))
+        assert m == 0
+        np.testing.assert_allclose(C, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("abcq", SETS + [(0.05, 0.05, 0.77, 0.9)])
+    def test_coefficients_are_recovered(self, abcq):
+        p = ParamSet(*abcq)
+        L, m, C = heine_pole_split(p)
+        A = heine_coeffs(p, len(C) - 1).coeffs
+        np.testing.assert_allclose(C[:m], A[:m], rtol=1e-13)
+        np.testing.assert_allclose(L + C[m:m + 50], A[m:m + 50], rtol=1e-13)
+
+    def test_pole_taken_late_where_limit_dwarfs_value(self):
+        # L = 9.3e9 while |Phi| is 2.5e-4 near z = -0.891: moving the pole to
+        # z^m keeps every coefficient within its A_n, and the error within
+        # rounding of that smaller scale (28x below the plain split's)
+        p = ParamSet(0.05, 0.05, 0.77, 0.9)
+        L, m, C = heine_pole_split(p)
+        z = -0.891
+        scale = np.sum(np.abs(C) * abs(z) ** np.arange(len(C))) + abs(L * z**m / (1 - z))
+        with mpmath.workdps(40):
+            want = complex(mpmath.qhyper([p.a, p.b], [p.c], p.q, z, maxterms=10**4))
+        assert m > 0 and L > 1e9
+        assert abs(split_value((L, m, C), z) - want) <= 4 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("abcq,length", [((1.0, 0.3, 0.2, 0.5), 1),
+                                             ((0.3, 2.0, 0.2, 0.5), 2),
+                                             ((4.0, 0.6, 0.3, 0.5), 3)])
+    def test_terminating_series(self, abcq, length):
+        # a or b equal to q^-m ends the series at z^m: no pole, L = 0
+        p = ParamSet(*abcq)
+        L, m, C = heine_pole_split(p)
+        assert L == 0.0 and m == 0 and len(C) == length
+        np.testing.assert_array_equal(C, heine_coeffs(p, length - 1).coeffs)
+
+    def test_term_count_from_q_alone(self):
+        counts = [len(heine_pole_split(ParamSet(0.5, 0.5, 0.2, q))[2])
+                  for q in (0.1, 0.5, 0.9)]
+        assert counts[0] < counts[1] < counts[2] <= 400
+
+    def test_q_too_close_to_one_refused(self):
+        with pytest.raises(NoConvergence):
+            heine_pole_split(ParamSet(0.5, 0.5, 0.2, 0.99999))
 
 
 class TestHeineCoeffs:
@@ -210,6 +305,16 @@ class TestHeinePhi:
             heine_phi(p_bc, 1.0)
         with pytest.raises(DomainError):
             heine_phi(p_bc, 0.5, tol=0.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_z_rejected(self, p_bc, bad):
+        for z in (bad, complex(0.1, bad)):
+            with pytest.raises(DomainError, match="finite"):
+                heine_phi(p_bc, z)
+            with pytest.raises(DomainError, match="finite"):
+                verify_identities(p_bc, z)
+        with pytest.raises(DomainError, match="finite"):
+            gauss_f(bad, 1.0, 2.0, 0.5)
 
 
 class TestGaussF:
