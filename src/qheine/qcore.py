@@ -306,16 +306,16 @@ def q_diff(f: Union[PowerSeries, Callable[[complex], complex]], q: float,
            z: complex) -> complex:
     """q-difference operator (f(z) - f(qz)) / (z (1-q)); f'(0) at z = 0.
 
-    At z = 0 a PowerSeries yields its exact first coefficient; a plain
-    callable is approximated by a Richardson-extrapolated quotient at a
-    small radius.
+    A PowerSeries is differentiated term by term, D_q z^n = [n]_q z^{n-1},
+    so no z divides and tiny or subnormal z lose nothing; at z = 0 this is
+    the exact first coefficient.  A plain callable at z = 0 is approximated
+    by a Richardson-extrapolated quotient at a small radius.
     """
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie in (0,1), got {q}")
     if isinstance(f, PowerSeries):
-        if z == 0:
-            return complex(f.coeffs[1]) if len(f.coeffs) > 1 else 0.0j
-        return (f(z) - f(q * z)) / (z * (1.0 - q))
+        n = np.arange(1, len(f.coeffs))
+        return complex(PowerSeries(f.coeffs[1:] * ((1.0 - q**n) / (1.0 - q)))(z))
     if z == 0:
         h = 1e-5
         d1 = (f(h) - f(q * h)) / (h * (1.0 - q))

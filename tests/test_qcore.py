@@ -368,6 +368,12 @@ class TestQDiff:
         got = q_diff(f, q, x) if x != 0 else q_diff(f, q, 0)
         assert complex(got) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-310])
+    def test_subnormal_z(self, x):
+        # z (1-q) underflows to 0 here; the term-by-term rule never divides by z
+        f = PowerSeries(np.array([0.3, 1.0, 2.0]))
+        assert complex(q_diff(f, 0.5, x)) == pytest.approx(1.0, rel=1e-12)
+
     def test_series_at_zero_is_first_coefficient(self, p_bc):
         f = heine_coeffs(p_bc, 10)
         want = (1 - p_bc.a) * (1 - p_bc.b) / ((1 - p_bc.c) * (1 - p_bc.q))
