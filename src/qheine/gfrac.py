@@ -7,8 +7,9 @@ for a sequence g' in [0,1], they are exactly Stieltjes transforms
 int_0^1 dmu(t)/(1-tz) of probability-like measures on [0,1], so their
 Taylor coefficients form totally monotone (Hausdorff) moment sequences.
 This module builds the coefficient sequences, evaluates the fractions by
-backward recurrence, extracts moment sequences by series division, and
-tests total monotonicity.
+backward recurrence, extracts moment sequences as weighted path sums of
+the fractions (series division where numerators are negative), and tests
+total monotonicity.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .errors import (
     InconsistentCoefficients,
     NoConvergence,
 )
-from .qcore import EvalResult, ParamSet, heine_phi, require_finite, series_reciprocal
+from .qcore import EvalResult, ParamSet, heine_phi, require_finite
 
 _SERIES_FRACTION_SPLIT = 0.9
 _CUT_EPS = 1e-12
@@ -161,7 +162,11 @@ def gfraction_coeffs(variant: RatioVariant, p: ParamSet, N: int,
     SHIFT_A: g_0 = 1-a, g_{2n} = (1-a q^n)/(1-c q^{2n-1}) for n >= 1,
     g_{2n+1} = (1-b q^n)/(1-c q^{2n}) for n >= 0, and p_k = (1-g_{k-1})g_k.
     SHIFT_ALL shares SHIFT_A's fraction (its ratio is an affine transform
-    of the SHIFT_A one).
+    of the SHIFT_A one).  The factors 1-g_k come from their own closed
+    forms, (1-a q^n)/(1-c q^{2n}) and (1-b q^n)/(1-c q^{2n-1}) for
+    SHIFT_BC, a, q^n (b - c q^n)/(1-c q^{2n}) and
+    q^n (a - c q^{n-1})/(1-c q^{2n-1}) for SHIFT_A, not from 1 minus a
+    rounded g_k, which would lose them where g_k is near 1.
 
     The partial numerators are cross-checked against raw_cfrac_coeffs;
     disagreement raises InconsistentCoefficients.  argument="z" selects
@@ -178,23 +183,23 @@ def gfraction_coeffs(variant: RatioVariant, p: ParamSet, N: int,
     n = np.where(odd, (i - 1) // 2, i // 2)
     qn = q**n.astype(float)
     q2n = qn * qn
+    den = np.where(odd, 1.0 - c * q2n, 1.0 - c * q2n / q)
+    den[0] = 1.0
+    _check_denominators(den, p)
+    # one variant's g is the other's 1 - g with a and b swapped; taking
+    # both from their closed forms keeps 1 - g accurate where g is near 1
+    x, y = (a, b) if variant is RatioVariant.SHIFT_BC else (b, a)
+    plain = np.where(odd, 1.0 - x * qn, 1.0 - y * qn) / den
+    diff = np.where(odd, qn * (x - c * qn), qn * (y - c * q ** (n - 1.0))) / den
     if variant is RatioVariant.SHIFT_BC:
-        num = np.where(odd, qn * (a - c * qn), qn * (b - c * qn / q))
-        den = np.where(odd, 1.0 - c * q2n, 1.0 - c * q2n / q)
-        den[0] = 1.0
-        _check_denominators(den, p)
-        g = num / den
+        g = diff
         g[0] = 0.0
-        partial = (1.0 - g[1:-1]) * g[2:]
+        partial = plain[1:-1] * g[2:]
         expected = -q * raw_cfrac_coeffs(variant, p, N - 1)
     else:
-        num = np.where(odd, 1.0 - b * qn, 1.0 - a * qn)
-        den = np.where(odd, 1.0 - c * q2n, 1.0 - c * q2n / q)
-        den[0] = 1.0
-        _check_denominators(den, p)
-        g = num / den
-        g[0] = 1.0 - a
-        partial = (1.0 - g[:-1]) * g[1:]
+        g = plain
+        diff[0] = a
+        partial = diff[:-1] * g[1:]
         expected = np.concatenate([[a * (1.0 - b) / (1.0 - c)],
                                    raw_cfrac_coeffs(RatioVariant.SHIFT_A, p, N - 1)])
     scale = 1.0 if argument == "qz" or variant is not RatioVariant.SHIFT_BC else 1.0 / q
@@ -211,8 +216,10 @@ def gfraction_eval(gf: GFraction, z: complex, tol: float = 1e-13) -> EvalResult:
 
     Backward recurrence from depth D with tail 1, doubling D from 32 until
     two successive depths agree within tol.  Points on the cut (w real,
-    >= 1 within 1e-12) raise CutError; running out of depth (2^16 or the
-    stored coefficient count) raises NoConvergence.
+    >= 1 within 1e-12) raise CutError; a denominator 1 - p_k w/(...) that
+    vanishes exactly raises DenominatorZero naming its depth k; running
+    out of depth (2^16 or the stored coefficient count) raises
+    NoConvergence.
     """
     require_finite(z=z)
     w = complex(z) * gf.argument_scale
@@ -227,7 +234,8 @@ def gfraction_eval(gf: GFraction, z: complex, tol: float = 1e-13) -> EvalResult:
         for k in range(d - 1, -1, -1):
             t = 1.0 - p[k] * w / t
             if t == 0:
-                t = 1e-300
+                raise DenominatorZero(
+                    f"fraction denominator vanished at depth {k + 1} for w={w}")
         return 1.0 / t
 
     limit = min(len(p), _MAX_DEPTH)
@@ -246,19 +254,44 @@ def gfraction_eval(gf: GFraction, z: complex, tol: float = 1e-13) -> EvalResult:
     raise NoConvergence(f"fraction not settled at depth {depths[-1]}")
 
 
-def gfraction_series(gf: GFraction, N: int) -> np.ndarray:
-    """Taylor coefficients (in z) of the fraction, by expanding the recurrence.
+def _path_sums(p: np.ndarray, N: int) -> np.ndarray:
+    """Weighted path counts v_0..v_N of the fraction 1/(1 - p_1 z/(1 - p_2 z/...)).
 
-    Works from depth N+1 with tail 1, applying T -> 1/(1 - p_k z T) on
-    truncated series; exact to order N.  The argument_scale is applied, so
+    p holds p_1, p_2, ...; numerators past p_{N+1} never reach the rows
+    returned and missing ones count as 0 (the fraction stops there).
+    [z^n] of the fraction sums, over the Dyck paths of length 2n, the
+    product of p_h over the down steps from height h (Flajolet 1980).
+    Taking the steps in pairs gives Motzkin paths: an up step weighs 1, a
+    level step at height k weighs p_{2k} + p_{2k+1}, a down step from
+    height k weighs p_{2k-1} p_{2k} (p_0 = 0).  Row n, entry k, is the
+    weight of the n-step paths from height 0 to height k, so v_n[0] is
+    [z^n].  Heights stop at N//2 + 1, which every path of at most N steps
+    that ends at height 0 or 1 stays within.  One tridiagonal mat-vec per
+    row, O(N^2).
+    """
+    H = N // 2 + 2
+    pp = np.zeros(2 * H)
+    k = min(len(p), N + 1)
+    pp[1:k + 1] = p[:k]
+    step = np.zeros((H, H))
+    step.flat[:: H + 1] = pp[0::2] + pp[1::2]
+    step.flat[H :: H + 1] = 1.0
+    step.flat[1 :: H + 1] = pp[1:-2:2] * pp[2:-1:2]
+    v = np.zeros((N + 1, H))
+    v[0, 0] = 1.0
+    for n in range(1, N + 1):
+        np.dot(step, v[n - 1], out=v[n])
+    return v
+
+
+def gfraction_series(gf: GFraction, N: int) -> np.ndarray:
+    """Taylor coefficients (in z) of the fraction, exact to order N.
+
+    The path sums of _path_sums over the stored numerators (a depth below
+    N+1 ends the fraction with tail 1).  The argument_scale is applied, so
     the result expands the same function gfraction_eval evaluates.
     """
-    coeffs = np.zeros(N + 1)
-    coeffs[0] = 1.0
-    depth = min(N + 1, len(gf.partial_numerators))
-    for k in range(depth - 1, -1, -1):
-        shifted = np.concatenate([[0.0], coeffs[:N]]) * gf.partial_numerators[k]
-        coeffs = series_reciprocal(np.concatenate([[1.0], -shifted[1:]]), N)
+    coeffs = _path_sums(gf.partial_numerators, N)[:, 0]
     if gf.argument_scale != 1.0:
         coeffs = coeffs * gf.argument_scale ** np.arange(N + 1)
     return coeffs
@@ -326,17 +359,53 @@ def _mp_heine_coeffs(a, b, c, q, N, scale=None):
     return out
 
 
+def _moments_by_path_sums(variant: RatioVariant, p: ParamSet,
+                          N: int) -> Optional[np.ndarray]:
+    """ratio_moments' double route, or None where it does not apply."""
+    shift_all = variant is RatioVariant.SHIFT_ALL
+    used = N + 1 if shift_all else N
+    try:
+        gf = gfraction_coeffs(RatioVariant.SHIFT_A if shift_all else variant, p, used + 2)
+    except (DenominatorZero, InconsistentCoefficients):
+        return None
+    pk = gf.partial_numerators[:used]
+    if not np.all((pk >= 0.0) & (pk < np.inf)):
+        return None
+    v = _path_sums(pk, N)
+    # SHIFT_ALL's m_n is [z^{n+1}] F_A / p_1 for the SHIFT_A fraction F_A.
+    # The last of those n+1 steps is level at height 0 (weight p_1) or down
+    # from height 1 (weight p_1 p_2), so p_1 divides out exactly: no
+    # division, and m_0 = 1 exactly
+    m = v[:, 0] + pk[1] * v[:, 1] if shift_all and N else v[:, 0]
+    return m if np.all(np.isfinite(m)) else None
+
+
 def ratio_moments(variant: RatioVariant, p: ParamSet, N: int) -> MomentSequence:
     """Taylor coefficients m_0..m_N of the moment-normalised ratio.
 
     SHIFT_BC uses the qz-form Phi[a,bq;cq;q,qz]/Phi[a,b;c;q,qz]; SHIFT_A
-    and SHIFT_ALL use the plain-z forms.  m_0 = 1 always.  The series
-    division runs in extended precision: finite-difference tests amplify
-    coefficient noise by ~2^N, which double division cannot survive when
-    the series coefficients are large.  N <= 40 caps the extraction order.
+    and SHIFT_ALL use the plain-z forms.  m_0 = 1 always.  N <= 40 caps the
+    extraction order.
+
+    Two routes, chosen by sign.  When the g-fraction numerators used,
+    p_1..p_N (p_1..p_{N+1} for SHIFT_ALL), are all finite and >= 0, as the
+    mapping hypotheses make them, the moments are the fraction's path sums
+    (_path_sums) in double precision: sums of non-negative products, so no
+    cancellation.  Each product has n numerator factors and passes through
+    at most 4n + 2 roundings, so, barring underflow,
+        |m_n - exact| <= ((1 + eps)^n (1 + g) - 1) m_n,  g = k u/(1 - k u),
+    with k = 4n + 2, u = 2^-53, and eps the largest relative error of the
+    numerators as gfraction_coeffs computes them (up to about 30 u on
+    hypothesis-passing sets with q <= 0.9, hence about 1.5e-13 at N = 40).
+    Otherwise (a numerator < 0, or gfraction_coeffs raising) the two Heine
+    series are divided at 40 digits, since with mixed signs a double path
+    sum can cancel.
     """
     if not 0 <= N <= MAX_MOMENT_ORDER:
         raise DomainError(f"N must lie in [0, {MAX_MOMENT_ORDER}], got {N}")
+    m = _moments_by_path_sums(variant, p, N)
+    if m is not None:
+        return MomentSequence(m)
     import mpmath
 
     with mpmath.workdps(40):

@@ -433,7 +433,8 @@ def verify_identities(p: ParamSet, z: complex, tol: float = DEFAULT_TOL) -> dict
 
 
 # ---------------------------------------------------------------------------
-# truncated power-series arithmetic (used for moment extraction)
+# truncated power-series arithmetic (no caller in the package: gfrac expands
+# its fractions by path sums)
 
 def series_mul(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
     """Coefficients of a*b truncated at order N."""

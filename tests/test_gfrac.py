@@ -1,10 +1,20 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import sample_disk, sample_hypothesis_passing
-from qheine.errors import CutError, DegenerateParameter, DomainError, NoConvergence
+from qheine import gfrac
+from qheine.errors import (
+    CutError,
+    DegenerateParameter,
+    DenominatorZero,
+    DomainError,
+    NoConvergence,
+)
 from qheine.gfrac import (
     GFraction,
     RatioVariant,
@@ -26,6 +36,57 @@ def series_ratio(num_p, den_p, z, scale=1.0):
     """Independent oracle: ratio of two direct series at argument scale*z."""
     w = scale * z
     return heine_phi(num_p, w, 1e-14).value / heine_phi(den_p, w, 1e-14).value
+
+
+# 400 digits, not 60: where b - c or a is near 1e-300 the moments fall that
+# far below the series coefficients, and a 60-digit division returns noise
+MP_DPS = 400
+
+
+def mp_moments(variant, p, N):
+    """Independent oracle: m_0..m_N by series division at MP_DPS digits."""
+    with mpmath.workdps(MP_DPS):
+        a, b, c, q = (mpmath.mpf(x) for x in (p.a, p.b, p.c, p.q))
+        if variant is BC:
+            num_abc, scale = (a, b * q, c * q), q
+        else:
+            num_abc, scale = ((a * q, b, c) if variant is A else (a * q, b * q, c * q)), 1
+
+        def coeffs(a, b, c):
+            out, acc = [], mpmath.mpf(1)
+            for n in range(N + 1):
+                out.append(acc * scale**n)
+                acc *= (1 - a * q**n) * (1 - b * q**n) / ((1 - c * q**n) * (1 - q ** (n + 1)))
+            return out
+
+        num, den = coeffs(*num_abc), coeffs(a, b, c)
+        m = []
+        for n in range(N + 1):
+            m.append((num[n] - mpmath.fsum(den[k] * m[n - k] for k in range(1, n + 1)))
+                     / den[0])
+        return m
+
+
+def mp_numerators(variant, p, K):
+    """p_1..p_K from the g-sequence closed forms, at MP_DPS digits."""
+    with mpmath.workdps(MP_DPS):
+        a, b, c, q = (mpmath.mpf(x) for x in (p.a, p.b, p.c, p.q))
+
+        def g(i):
+            n = i // 2
+            if variant is BC:
+                if i % 2:
+                    return q**n * (a - c * q**n) / (1 - c * q ** (2 * n))
+                return q**n * (b - c * q ** (n - 1)) / (1 - c * q ** (2 * n - 1))
+            if i == 0:
+                return 1 - a
+            if i % 2:
+                return (1 - b * q**n) / (1 - c * q ** (2 * n))
+            return (1 - a * q**n) / (1 - c * q ** (2 * n - 1))
+
+        if variant is BC:
+            return [(1 - g(k)) * g(k + 1) for k in range(1, K + 1)]
+        return [(1 - g(k - 1)) * g(k) for k in range(1, K + 1)]
 
 
 class TestHypothesisCheck:
@@ -162,6 +223,12 @@ class TestGFractionEval:
             with pytest.raises(DomainError, match="finite"):
                 ratio_eval(variant, p_a, bad)
 
+    def test_zero_denominator_raises(self, p_a):
+        # 1 - 2 * 0.5 / 1 = 0 at the only level; this used to return ~1e300
+        gf = GFraction(A, p_a, np.zeros(2), np.array([2.0]))
+        with pytest.raises(DenominatorZero, match="depth 1"):
+            gfraction_eval(gf, 0.5)
+
     def test_depth_exhaustion(self, p_a):
         # far too few stored coefficients for a point near the cut
         gf = gfraction_coeffs(A, p_a, 4)
@@ -260,6 +327,71 @@ class TestRatioMoments:
         assert abs(got - want) < 1e-12
         assert totally_monotone_check(ms.m[:16]).passed
 
+    @settings(max_examples=30, deadline=None)
+    @given(variant=st.sampled_from([BC, A, ALL]), a=st.floats(0.0, 0.95),
+           b=st.floats(0.0, 0.95), c=st.floats(0.0, 0.95),
+           q=st.floats(0.0, 0.9, exclude_min=True), N=st.integers(0, 40))
+    def test_within_documented_bound(self, variant, a, b, c, q, N):
+        # ratio_moments' docstring: |m_n - exact| <= ((1+eps)^n (1+g) - 1) m_n,
+        # g = k u/(1 - k u), k = 4n + 2, eps the numerators' own relative error
+        p = ParamSet(a, b, c, q)
+        fraction = BC if variant is BC else A
+        assume(hypothesis_check(fraction, p).passed)
+        m = ratio_moments(variant, p, N).m
+        assert len(m) == N + 1 and m[0] == 1.0
+        used = N + 1 if variant is ALL else N
+        got_p = gfraction_coeffs(fraction, p, used + 2).partial_numerators[:used]
+        if np.any(got_p < 0.0):
+            # rounding pushed a numerator below 0: the 40-digit division
+            # serves the set, and the bound is not claimed for it
+            return
+        eps = 0.0
+        for got, want in zip(got_p, mp_numerators(fraction, p, used)):
+            if got != want:
+                eps = max(eps, float(abs(got - want) / abs(want)) if want else math.inf)
+        u = 2.0**-53
+        ref = mp_moments(variant, p, N)
+        for n in range(N + 1):
+            k = 4 * n + 2
+            rel = math.expm1(n * math.log1p(eps)) if eps < math.inf else math.inf
+            bound = rel + k * u / (1 - k * u) * (1 + rel)
+            # the floor covers products that underflow: every numerator is at
+            # most 1/4 here, so all the rounding below 2^-1022 stays far below it
+            assert abs(m[n] - ref[n]) <= bound * abs(ref[n]) + 1e-300, (n, eps)
+
+    def test_orders_zero_and_one(self, p_bc, p_a):
+        for variant, p in ((BC, p_bc), (A, p_a), (ALL, p_a)):
+            assert ratio_moments(variant, p, 0).m.tolist() == [1.0]
+            m = ratio_moments(variant, p, 1).m
+            assert m[0] == 1.0
+            assert m[1] == pytest.approx(float(mp_moments(variant, p, 1)[1]), rel=1e-15)
+
+    @pytest.mark.parametrize("variant,abcq", [
+        (ALL, (0.0, 0.5, 0.0, 0.5)),          # p_1 = a(1-b)/(1-c) = 0
+        (ALL, (1e-300, 0.5, 0.0, 0.5)),
+        (A, (1e-200, 0.5, 0.0, 0.5)),         # 1 - g_0 = a, not 1 - (1 - a)
+        (BC, (1 - 2.0**-40, 0.5, 0.25, 0.5)),  # 1 - g_1 = (1-a)/(1-c)
+    ])
+    def test_tiny_first_numerator(self, variant, abcq):
+        p = ParamSet(*abcq)
+        m = ratio_moments(variant, p, 20).m
+        assert m[0] == 1.0
+        np.testing.assert_allclose(m, [float(x) for x in mp_moments(variant, p, 20)],
+                                   rtol=1e-13, atol=0.0)
+
+    def test_mixed_signs_take_the_division(self, monkeypatch):
+        pn = gfraction_coeffs(A, MIXED_A, 32).partial_numerators
+        assert pn.min() < -13.0 and pn.max() > 13.0
+        got = ratio_moments(A, MIXED_A, 30).m
+        assert got[30] == pytest.approx(float(mp_moments(A, MIXED_A, 30)[30]), rel=1e-12)
+        monkeypatch.setattr(gfrac, "_moments_by_path_sums", lambda *args: None)
+        np.testing.assert_array_equal(got, ratio_moments(A, MIXED_A, 30).m)
+
+
+# a SHIFT_A set outside the hypotheses whose partial numerators span +-13.9
+MIXED_A = ParamSet(0.916261106974507, -0.4121543034970268, 0.9069117785606575,
+                   0.7501997147334211)
+
 
 class TestGFractionSeries:
     def test_matches_moments_shift_a(self, p_a):
@@ -277,6 +409,13 @@ class TestGFractionSeries:
         got = gfraction_series(gf_z, 8)
         want = ratio_moments(BC, p_bc, 8).m / p_bc.q ** np.arange(9)
         np.testing.assert_allclose(got, want, rtol=1e-11)
+
+    def test_mixed_signs(self):
+        # expanding level by level with series_reciprocal gave m_30 = -2^62
+        # here; the division route of ratio_moments gives 60.55
+        gf = gfraction_coeffs(A, MIXED_A, 64)
+        np.testing.assert_allclose(gfraction_series(gf, 30),
+                                   ratio_moments(A, MIXED_A, 30).m, rtol=1e-10)
 
 
 def brute_totally_monotone(m, tol):
