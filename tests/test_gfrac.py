@@ -379,6 +379,12 @@ class TestRatioMoments:
         np.testing.assert_allclose(m, [float(x) for x in mp_moments(variant, p, 20)],
                                    rtol=1e-13, atol=0.0)
 
+    def test_equal_b_and_c_give_exact_zeros(self):
+        # Phi[a,b;b;q,x] = (ax;q)_inf/(x;q)_inf, so the SHIFT_BC ratio is 1;
+        # c q^{n-1} must be exactly c at n = 1 for p_1 to come out 0
+        p = ParamSet(0.5, 1e-13, 1e-13, 0.6875)
+        assert ratio_moments(BC, p, 20).m.tolist() == [1.0] + [0.0] * 20
+
     def test_mixed_signs_take_the_division(self, monkeypatch):
         pn = gfraction_coeffs(A, MIXED_A, 32).partial_numerators
         assert pn.min() < -13.0 and pn.max() > 13.0
