@@ -92,27 +92,30 @@ def hypothesis_check(variant: RatioVariant, p: ParamSet) -> HypothesisReport:
 
     SHIFT_BC requires 0 <= q(b-c) <= 1-cq and 0 < a-c <= 1-c; SHIFT_A and
     SHIFT_ALL require 0 <= 1-aq <= 1-cq and 0 < 1-b <= 1-c.  Every violated
-    inequality is reported by name.
+    inequality is reported by name.  Where a term cancels on both sides
+    (q > 0), the cancelled form is compared, so rounding cannot decide it:
+    q(b-c) >= 0 as c <= b, a-c <= 1-c as a <= 1, 1-aq <= 1-cq as c <= a,
+    1-b <= 1-c as c <= b.
     """
     a, b, c, q = p.a, p.b, p.c, p.q
     violations = []
     if variant is RatioVariant.SHIFT_BC:
-        if not q * (b - c) >= 0.0:
+        if not c <= b:
             violations.append("q(b-c)>=0")
         if not q * (b - c) <= 1.0 - c * q:
             violations.append("q(b-c)<=1-cq")
         if not a - c > 0.0:
             violations.append("a-c>0")
-        if not a - c <= 1.0 - c:
+        if not a <= 1.0:
             violations.append("a-c<=1-c")
     else:
         if not 1.0 - a * q >= 0.0:
             violations.append("1-aq>=0")
-        if not 1.0 - a * q <= 1.0 - c * q:
+        if not c <= a:
             violations.append("1-aq<=1-cq")
         if not 1.0 - b > 0.0:
             violations.append("1-b>0")
-        if not 1.0 - b <= 1.0 - c:
+        if not c <= b:
             violations.append("1-b<=1-c")
     return HypothesisReport(not violations, tuple(violations))
 

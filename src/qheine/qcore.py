@@ -1,15 +1,18 @@
 """Double-precision building blocks for basic (Heine) hypergeometric series.
 
-q-Pochhammer symbols, series coefficients and point evaluation of
-Phi[a,b;c;q,z], the classical Gauss series F(a,b;c;z) used for q->1 limit
-checks, the q-difference operator, Jackson's q-Gamma function, and a
-four-way identity residual report.
+q-Pochhammer symbols, series coefficients, the pole split of Phi[a,b;c;q,z]
+and its point evaluation (direct sum or pole split, whichever is cheaper),
+the classical Gauss series F(a,b;c;z) used for q->1 limit checks, the
+q-difference operator, Jackson's q-Gamma function, and a four-way identity
+residual report, which sums its series in stdlib decimal where double
+cancellation would swamp the residuals.
 
 All evaluators are pure functions; nothing here holds mutable state.
 """
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,6 +37,17 @@ _CONSECUTIVE_SMALL = 3
 # absolute-term sum, weighted by the identity prefactor it meets, exceeds
 # this; beyond it double cancellation error would swamp residuals near 1e-13
 _ESCALATE_SCALE = 100.0
+# the escalated sums stop after this many terms per bit of precision, the
+# cap mpmath.qhyper applies
+_TERMS_PER_BIT = 50
+# heine_phi takes the pole split once the direct sum's term count
+# log(tol)/log|z| exceeds _SPLIT_MIN_TERMS + _SPLIT_TERM_COST * K, K the
+# split's term count, where the two cost the same: measured on one core
+# (2-core x86-64, Python 3.11, numpy 2.4), the direct sum costs about
+# 1.1 us a term, the uncached split with its evaluation about
+# 100 us + 0.14 us a term
+_SPLIT_MIN_TERMS = 90
+_SPLIT_TERM_COST = 0.13
 
 
 def require_finite(**values) -> None:
@@ -161,6 +175,13 @@ def heine_coeffs(p: ParamSet, N: int) -> PowerSeries:
     return PowerSeries(_heine_coeffs_cached(p, N))
 
 
+def _split_terms(p: ParamSet) -> int:
+    """The pole split's term count K; the dropped part sum_{n>=K} |A_n - L|
+    is at most |L| size q^K / (1-q)^2."""
+    size = abs(p.a) + abs(p.b) + abs(p.c) + p.q
+    return max(2, math.ceil(math.log(_EPS * (1.0 - p.q) ** 2 / size) / math.log(p.q)))
+
+
 @lru_cache(maxsize=256)
 def heine_pole_split(p: ParamSet) -> Tuple[float, int, np.ndarray]:
     """(L, m, C) with Phi[a,b;c;q,z] = L z^m/(1-z) + sum_n C_n z^n.
@@ -179,9 +200,7 @@ def heine_pole_split(p: ParamSet) -> Tuple[float, int, np.ndarray]:
     The result is cached; C is read-only.
     """
     a, b, c, q = p.a, p.b, p.c, p.q
-    # the dropped part sum_{n>=K} |A_n - L| is at most |L| size q^K / (1-q)^2
-    size = abs(a) + abs(b) + abs(c) + q
-    K = max(2, math.ceil(math.log(_EPS * (1.0 - q) ** 2 / size) / math.log(q)))
+    K = _split_terms(p)
     if K > MAX_TERMS:
         raise NoConvergence(f"pole split needs {K} terms at q={q}")
     # 1 - x are the factors of A_{k+1}/A_k; summing their logs to 2K keeps
@@ -243,14 +262,8 @@ def _sum_with_stopping(term_ratio: Callable[[int], complex], z: complex,
     raise NoConvergence(f"series did not settle within {MAX_TERMS} terms")
 
 
-def _heine_phi_scaled(p: ParamSet, z: complex, tol: float) -> Tuple[EvalResult, float]:
-    require_finite(z=z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"Heine series requires |z| < 1, got |z|={abs(z)}")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    if z == 0:
-        return EvalResult(1.0 + 0.0j, 1, 0.0), 1.0
+def _heine_phi_direct(p: ParamSet, z: complex, tol: float) -> Tuple[EvalResult, float]:
+    """Phi by _sum_with_stopping, with its absolute-term sum."""
     a, b, c, q = p.a, p.b, p.c, p.q
 
     def ratio(n):
@@ -263,9 +276,49 @@ def _heine_phi_scaled(p: ParamSet, z: complex, tol: float) -> Tuple[EvalResult, 
     return _sum_with_stopping(ratio, z, tol)
 
 
+def _heine_phi_split(p: ParamSet, z: complex) -> EvalResult:
+    """Phi from heine_pole_split: the pole part in closed form plus one dot
+    product of C with the powers of z."""
+    L, m, C = heine_pole_split(p)
+    powers = geometric_powers(z, len(C))
+    value = L * powers[m] / (1.0 - z) + C @ powers
+    # C_n decays like q^n: the tail beyond the last kept term is geometric
+    rho = p.q * abs(z)
+    est = 0.0 if L == 0.0 else float(abs(C[-1] * powers[-1])) * rho / (1.0 - rho)
+    return EvalResult(complex(value), len(C), est)
+
+
 def heine_phi(p: ParamSet, z: complex, tol: float = DEFAULT_TOL) -> EvalResult:
-    """Phi[a,b;c;q,z] by direct summation, |z| < 1."""
-    return _heine_phi_scaled(p, z, tol)[0]
+    """Phi[a,b;c;q,z] for |z| < 1, by the cheaper of two routes.
+
+    The direct sum (_sum_with_stopping) needs about log(tol)/log|z| terms,
+    which grows without bound as |z| -> 1; the pole split
+    (heine_pole_split) needs K terms, from q and the parameters alone, and
+    works to full double precision whatever tol asks.  The split is taken
+    when log(tol)/log|z| > _SPLIT_MIN_TERMS + _SPLIT_TERM_COST * K, the
+    point where it becomes the faster, and K <= MAX_TERMS (q below about
+    0.9995); otherwise the sum is direct.  The choice depends only on the
+    inputs.
+
+    terms_used counts the terms summed: series terms on the direct route,
+    len(C) on the split.  est_error estimates the truncation error only,
+    not rounding: the geometric tail beyond the last term kept (ratio
+    max(|z|, the last observed term ratio) directly, q|z| on the split;
+    0 where the series terminates).  Where the terms cancel heavily
+    (sum |terms| >> |Phi|) rounding can exceed it.
+    """
+    require_finite(z=z)
+    if abs(z) >= 1.0:
+        raise DomainError(f"Heine series requires |z| < 1, got |z|={abs(z)}")
+    if tol <= 0.0:
+        raise DomainError("tol must be positive")
+    if z == 0:
+        return EvalResult(1.0 + 0.0j, 1, 0.0)
+    K = _split_terms(p)
+    if (K <= MAX_TERMS and math.log(tol) / math.log(abs(z))
+            > _SPLIT_MIN_TERMS + _SPLIT_TERM_COST * K):
+        return _heine_phi_split(p, z)
+    return _heine_phi_direct(p, z, tol)[0]
 
 
 def gauss_f(a: float, b: float, c: float, z: complex,
@@ -367,51 +420,89 @@ def _identity_residuals(values, a, b, c, q, z):
     return r_a, r_b1, r_b2, r_dq
 
 
-def _identity_residuals_mp(a, b, c, q, z, dps):
-    """The four residuals recomputed with mpmath at dps digits."""
+def _identity_series(a, b, c, q):
+    """(a', b', c', s) of the six series the relations combine, each summed
+    at s z, in the order _identity_residuals takes their values.  Works
+    for doubles and for Decimals alike."""
+    return ((a, b, c, 1), (a, b * q, c * q, 1), (a * q, b * q, c * q**2, 1),
+            (a * q, b, c, 1), (a * q, b * q, c * q, 1), (a, b, c, q))
+
+
+def _decimal_phi(a, b, c, q, x, y, digits, cap):
+    """Phi[a,b;c;q,x+iy] from Decimal inputs, as Decimal (real, imaginary).
+
+    Sums t_0 = 1, t_{n+1} = t_n (1-aq^n)(1-bq^n)/((1-cq^n)(1-q^{n+1})) z in
+    the current decimal context until |t_n| < 10^-digits |sum| holds
+    _CONSECUTIVE_SMALL times in a row; raises NoConvergence after cap terms.
+    """
+    one = decimal.Decimal(1)
+    tiny2 = decimal.Decimal(10) ** (-2 * digits)
+    tr, ti, sr, si, qn = one, 0 * one, one, 0 * one, one
+    small_run = 0
+    for _ in range(cap):
+        r = (one - a * qn) * (one - b * qn) / ((one - c * qn) * (one - q * qn))
+        qn *= q
+        tr, ti = r * (tr * x - ti * y), r * (tr * y + ti * x)
+        sr += tr
+        si += ti
+        if tr * tr + ti * ti < tiny2 * (sr * sr + si * si):
+            small_run += 1
+            if small_run == _CONSECUTIVE_SMALL:
+                return sr, si
+        else:
+            small_run = 0
+    raise NoConvergence(f"decimal series did not settle within {cap} terms")
+
+
+def _identity_residuals_mp(a, b, c, q, z, scale):
+    """The four residuals at dps = 25 + log10(scale) digits.
+
+    The six series are summed by _decimal_phi at dps + 5 digits from the
+    exact decimal values of the doubles a, b, c, q and z, with the term
+    cap mpmath.qhyper has at dps digits (_TERMS_PER_BIT times the binary
+    precision); the relations are then formed in mpmath at dps digits.
+    """
     import mpmath
 
+    z = complex(z)
+    dps = 25 + max(0, int(math.log10(scale)))
+    digits = dps + 5
     with mpmath.workdps(dps):
-        aa, bb, cc, qq = (mpmath.mpf(x) for x in (a, b, c, q))
-        zz = mpmath.mpmathify(z)
-
-        def phi(a1, b1, c1, zv):
-            return mpmath.qhyper([a1, b1], [c1], qq, zv)
-
-        values = (
-            phi(aa, bb, cc, zz),
-            phi(aa, bb * qq, cc * qq, zz),
-            phi(aa * qq, bb * qq, cc * qq**2, zz),
-            phi(aa * qq, bb, cc, zz),
-            phi(aa * qq, bb * qq, cc * qq, zz),
-            phi(aa, bb, cc, qq * zz),
-        )
-        return _identity_residuals(values, aa, bb, cc, qq, zz)
+        cap = _TERMS_PER_BIT * mpmath.mp.prec
+        with decimal.localcontext(decimal.Context(prec=digits)):
+            ad, bd, cd, qd, x, y = map(decimal.Decimal, (a, b, c, q, z.real, z.imag))
+            sums = [_decimal_phi(a1, b1, c1, qd, s * x, s * y, digits, cap)
+                    for a1, b1, c1, s in _identity_series(ad, bd, cd, qd)]
+        values = [mpmath.mpc(str(re), str(im)) for re, im in sums]
+        aa, bb, cc, qq = (mpmath.mpf(v) for v in (a, b, c, q))
+        return _identity_residuals(values, aa, bb, cc, qq, mpmath.mpc(z))
 
 
 def verify_identities(p: ParamSet, z: complex, tol: float = DEFAULT_TOL) -> dict:
     """Absolute residuals of the contiguous-parameter identities at (p, z).
 
-    Keys: "L2.1a", "L2.1b-first", "L2.1b-second", "Dq-relation".  When the
-    series values are large enough that double-precision cancellation
-    would swamp the residuals, the values are recomputed in extended
-    precision so the report reflects the identities, not roundoff.
+    Keys: "L2.1a", "L2.1b-first", "L2.1b-second", "Dq-relation".  The six
+    series are summed directly in double precision (to min(tol, 1e-14)).
+    When their absolute-term sums, weighted by the prefactors they meet,
+    exceed _ESCALATE_SCALE, double cancellation would swamp the residuals:
+    the series are then summed again in stdlib decimal at
+    dps + 5 digits, dps = 25 + log10(scale), and the residuals formed at
+    dps digits (_identity_residuals_mp), so the report reflects the
+    identities, not roundoff.  That sum raises NoConvergence where it
+    needs more than _TERMS_PER_BIT = 50 times the binary precision of dps
+    in terms (about 4 800 at 28 digits), as mpmath.qhyper does.
     """
     require_finite(z=z)
     if abs(z) >= 1.0:
         raise DomainError(f"identities require |z| < 1, got |z|={abs(z)}")
+    if tol <= 0.0:
+        raise DomainError("tol must be positive")
     a, b, c, q = p.a, p.b, p.c, p.q
     if a == 1.0:
         raise DomainError("identity (b) second form requires a != 1")
     tight = min(tol, 1e-14)
-    pairs = [
-        _heine_phi_scaled(p, z, tight),
-        _heine_phi_scaled(p.shifted(b=b * q, c=c * q), z, tight),
-        _heine_phi_scaled(p.shifted(a=a * q, b=b * q, c=c * q**2), z, tight),
-        _heine_phi_scaled(p.shifted(a=a * q), z, tight),
-        _heine_phi_scaled(p.shifted(a=a * q, b=b * q, c=c * q), z, tight),
-        _heine_phi_scaled(p, q * z, tight),
-    ]
+    pairs = [_heine_phi_direct(ParamSet(a1, b1, c1, q), s * z, tight)
+             for a1, b1, c1, s in _identity_series(a, b, c, q)]
     az = abs(z)
     pref_a = abs((1 - a) * (c - b) / ((1 - c) * (1 - c * q))) * az
     pref_b1 = abs(a * (1 - b) / (1 - c)) * az
@@ -424,8 +515,7 @@ def verify_identities(p: ParamSet, z: complex, tol: float = DEFAULT_TOL) -> dict
         sums[5] * max(1.0, pref_b2),
     )
     if scale > _ESCALATE_SCALE:
-        dps = 25 + max(0, int(math.log10(scale)))
-        residuals = _identity_residuals_mp(a, b, c, q, z, dps)
+        residuals = _identity_residuals_mp(a, b, c, q, z, scale)
     else:
         values = tuple(res.value for res, _ in pairs)
         residuals = _identity_residuals(values, a, b, c, q, complex(z))

@@ -111,6 +111,17 @@ class TestHypothesisCheck:
         assert "1-b<=1-c" in rep.violations
         assert "1-aq<=1-cq" in rep.violations
 
+    def test_decided_on_cancelled_forms(self):
+        # a < c and b < c, yet 1 - cq rounds to 1 = 1 - aq = 1 - b
+        rep = hypothesis_check(A, ParamSet(0.0, 0.0, 2.0036500534418523e-260, 0.5))
+        assert rep.violations == ("1-aq<=1-cq", "1-b<=1-c")
+        # b < c, yet q (b - c) rounds to -0.0
+        rep = hypothesis_check(BC, ParamSet(0.5, 0.0, 5e-324, 0.5))
+        assert rep.violations == ("q(b-c)>=0",)
+        # a > 1, yet a - c and 1 - c round to the same double
+        rep = hypothesis_check(BC, ParamSet(1.5, 0.5, -1e20, 0.5))
+        assert "a-c<=1-c" in rep.violations
+
 
 class TestRawCfracCoeffs:
     def test_d1_closed_form(self, p_bc):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qheine import qcore
 from qheine.errors import DomainError, NoConvergence
 from qheine.qcore import (
     INFINITY,
@@ -317,6 +318,76 @@ class TestHeinePhi:
             gauss_f(bad, 1.0, 2.0, 0.5)
 
 
+def mp_phi40(abcq, z):
+    """Phi at 40 digits by the pole split, L from its infinite products:
+    independent of qheine, and as many terms at |z| = 0.999 as at 0.5."""
+    with mpmath.workdps(50):
+        a, b, c, q = (mpmath.mpf(x) for x in abcq)
+        z = mpmath.mpc(z)
+        L = mpmath.qp(a, q) * mpmath.qp(b, q) / (mpmath.qp(c, q) * mpmath.qp(q, q))
+        total, A, zn, qk = L / (1 - z), mpmath.mpf(1), mpmath.mpc(1), mpmath.mpf(1)
+        # A_n - L falls like q^n, below 10^-50 |L| after this many terms
+        for _ in range(int(50 * math.log(10) / -math.log(abcq[3])) + 10):
+            total += (A - L) * zn
+            A *= (1 - a * qk) * (1 - b * qk) / ((1 - c * qk) * (1 - q * qk))
+            qk *= q
+            zn *= z
+        return complex(total)
+
+
+class TestHeinePhiRoutes:
+    """heine_phi takes the pole split where the direct sum would be the
+    longer, and the direct sum where the split refuses (q near 1)."""
+
+    def test_reference_matches_qhyper(self, p_bc):
+        for z in (0.9, -0.5 + 0.6j):
+            want = complex(mpmath.qhyper([p_bc.a, p_bc.b], [p_bc.c], p_bc.q, z, maxterms=10**4))
+            assert abs(mp_phi40((p_bc.a, p_bc.b, p_bc.c, p_bc.q), z) - want) <= 1e-25 * abs(want)
+
+    @pytest.mark.parametrize("z", [0.99, 0.999, 0.995j])
+    def test_near_unit_circle(self, p_bc, z):
+        # the direct sum's stop rule left 9.7e-11 and 1.0e-9 at 0.99 and 0.999
+        res = heine_phi(p_bc, z)
+        want = mp_phi40((p_bc.a, p_bc.b, p_bc.c, p_bc.q), z)
+        assert abs(res.value - want) <= 1e-12 * abs(want)
+        assert res.terms_used == len(heine_pole_split(p_bc)[2])
+
+    def test_beyond_the_direct_sums_reach(self, p_bc):
+        # the direct sum needs about 2.8e5 terms here and gave up at MAX_TERMS
+        res = heine_phi(p_bc, 0.9999)
+        want = mp_phi40((p_bc.a, p_bc.b, p_bc.c, p_bc.q), 0.9999)
+        assert want.real == pytest.approx(985.776, abs=1e-3)
+        assert abs(res.value - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("z", [0.3, 0.9])
+    def test_direct_where_split_refuses(self, z):
+        q = 0.9999
+        p = ParamSet(q, q**2, q**3, q)
+        with pytest.raises(NoConvergence):
+            heine_pole_split(p)
+        res = heine_phi(p, z)
+        # A_n = (q^2;q)_n / (q^3;q)_n = (1-q^2) / (1-q^{n+2}), summed at 40 digits
+        with mpmath.workdps(40):
+            qq = mpmath.mpf(q)
+            want = mpmath.nsum(lambda n: (1 - qq**2) * mpmath.mpf(z) ** n / (1 - qq ** (n + 2)),
+                               [0, mpmath.inf])
+        # the direct route's claim: within tol |Phi| plus its tail estimate
+        assert res.terms_used < 1000
+        assert abs(res.value - complex(want)) <= 1e-12 * abs(complex(want)) + res.est_error
+
+    @given(params_st, st.floats(min_value=0.9, max_value=0.999),
+           st.floats(min_value=0.0, max_value=2 * math.pi))
+    @settings(max_examples=30, deadline=None)
+    def test_split_route_within_rounding(self, abcq, r, theta):
+        p = ParamSet(*abcq)
+        z = complex(r * math.cos(theta), r * math.sin(theta))
+        got = heine_phi(p, z).value
+        want = mp_phi40(abcq, z)
+        L, m, C = heine_pole_split(p)
+        scale = abs(L * z**m / (1 - z)) + float(np.sum(np.abs(C) * r ** np.arange(len(C))))
+        assert abs(got - want) <= 1e-12 * abs(want) + 16 * np.finfo(float).eps * scale
+
+
 class TestGaussF:
     def test_at_zero(self):
         assert gauss_f(0.3, 0.7, 1.1, 0.0).value == 1.0
@@ -454,6 +525,62 @@ class TestVerifyIdentities:
     def test_a_equal_one_rejected(self):
         with pytest.raises(DomainError):
             verify_identities(ParamSet(1.0, 0.5, 0.2, 0.5), 0.3)
+
+
+class TestIdentityEscalation:
+    """Escalated residuals: the six series summed in decimal."""
+
+    HEAVY = ((0.2, 0.3, 0.93, 0.88), 0.4)
+
+    @pytest.mark.parametrize("abcq,z", [HEAVY, ((0.05, 0.1, 0.93, 0.94), 0.8),
+                                        ((0.9, 0.7, 0.6, 0.8), -0.5 + 0.6j)])
+    def test_six_sums_match_qhyper(self, abcq, z):
+        digits = 35
+        D = qcore.decimal.Decimal
+        with qcore.decimal.localcontext(qcore.decimal.Context(prec=digits)):
+            a, b, c, q = map(D, abcq)
+            x, y = D(z.real if isinstance(z, complex) else z), D(complex(z).imag)
+            sums = [qcore._decimal_phi(a1, b1, c1, q, s * x, s * y, digits, 10**4)
+                    for a1, b1, c1, s in qcore._identity_series(a, b, c, q)]
+        with mpmath.workdps(40):
+            a, b, c, q = (mpmath.mpf(v) for v in abcq)
+            z = mpmath.mpmathify(z)
+            for (re, im), (a1, b1, c1, s) in zip(sums, qcore._identity_series(a, b, c, q)):
+                want = mpmath.qhyper([a1, b1], [c1], q, s * z, maxterms=10**4)
+                got = mpmath.mpc(str(re), str(im))
+                assert abs(got - want) <= mpmath.mpf(10) ** -30 * abs(want)
+
+    def test_residuals_within_working_precision(self, monkeypatch):
+        # 40 seeded escalating calls: every residual <= scale 10^-dps
+        escalated = []
+        real = qcore._identity_residuals_mp
+
+        def spy(a, b, c, q, z, scale):
+            out = real(a, b, c, q, z, scale)
+            escalated.append((scale, out))
+            return out
+
+        monkeypatch.setattr(qcore, "_identity_residuals_mp", spy)
+        rng = np.random.default_rng(2024)
+        verify_identities(ParamSet(*self.HEAVY[0]), self.HEAVY[1])
+        while len(escalated) < 40:
+            a, b, c = (float(v) for v in rng.uniform(0.0, 0.95, 3))
+            q = float(rng.uniform(0.1, 0.9))
+            z = 0.8 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
+            verify_identities(ParamSet(a, b, c, q), complex(z))
+        for scale, residuals in escalated:
+            dps = 25 + max(0, int(math.log10(scale)))
+            assert max(abs(r) for r in residuals) <= scale * 10.0**-dps
+
+    def test_term_cap_raises(self, monkeypatch):
+        # about 7 500 terms are needed at z = 0.99; qhyper's cap is 6 000 here
+        with pytest.raises(NoConvergence):
+            verify_identities(ParamSet(*self.HEAVY[0]), 0.99)
+        # one term per bit (about 100) cannot sum the heavy set at z = 0.8
+        verify_identities(ParamSet(*self.HEAVY[0]), 0.8)
+        monkeypatch.setattr(qcore, "_TERMS_PER_BIT", 1)
+        with pytest.raises(NoConvergence):
+            verify_identities(ParamSet(*self.HEAVY[0]), 0.8)
 
 
 class TestSeriesArithmetic:
