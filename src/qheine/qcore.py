@@ -40,12 +40,9 @@ _ESCALATE_SCALE = 100.0
 # the escalated sums stop after this many terms per bit of precision, the
 # cap mpmath.qhyper applies
 _TERMS_PER_BIT = 50
-# heine_phi takes the pole split once the direct sum's term count
-# log(tol)/log|z| exceeds _SPLIT_MIN_TERMS + _SPLIT_TERM_COST * K, K the
-# split's term count, where the two cost the same: measured on one core
-# (2-core x86-64, Python 3.11, numpy 2.4), the direct sum costs about
-# 1.1 us a term, the uncached split with its evaluation about
-# 100 us + 0.14 us a term
+# heine_phi's break-even between the direct sum (about 1.1 us a term) and
+# the uncached pole split with its evaluation (about 100 us + 0.14 us a
+# term), measured on one core of a 2-core x86-64, Python 3.11, numpy 2.4
 _SPLIT_MIN_TERMS = 90
 _SPLIT_TERM_COST = 0.13
 
@@ -435,9 +432,9 @@ def _decimal_phi(a, b, c, q, x, y, digits, cap):
     the current decimal context until |t_n| < 10^-digits |sum| holds
     _CONSECUTIVE_SMALL times in a row; raises NoConvergence after cap terms.
     """
-    one = decimal.Decimal(1)
+    one, zero = decimal.Decimal(1), decimal.Decimal(0)
     tiny2 = decimal.Decimal(10) ** (-2 * digits)
-    tr, ti, sr, si, qn = one, 0 * one, one, 0 * one, one
+    tr, ti, sr, si, qn = one, zero, one, zero, one
     small_run = 0
     for _ in range(cap):
         r = (one - a * qn) * (one - b * qn) / ((one - c * qn) * (one - q * qn))

@@ -536,10 +536,11 @@ class TestIdentityEscalation:
                                         ((0.9, 0.7, 0.6, 0.8), -0.5 + 0.6j)])
     def test_six_sums_match_qhyper(self, abcq, z):
         digits = 35
+        z = complex(z)
         D = qcore.decimal.Decimal
         with qcore.decimal.localcontext(qcore.decimal.Context(prec=digits)):
             a, b, c, q = map(D, abcq)
-            x, y = D(z.real if isinstance(z, complex) else z), D(complex(z).imag)
+            x, y = D(z.real), D(z.imag)
             sums = [qcore._decimal_phi(a1, b1, c1, q, s * x, s * y, digits, 10**4)
                     for a1, b1, c1, s in qcore._identity_series(a, b, c, q)]
         with mpmath.workdps(40):
