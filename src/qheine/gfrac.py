@@ -13,7 +13,9 @@ total monotonicity.
 """
 from __future__ import annotations
 
+import decimal
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -27,13 +29,14 @@ from .errors import (
     InconsistentCoefficients,
     NoConvergence,
 )
-from .qcore import EvalResult, ParamSet, heine_phi, require_finite
+from .qcore import EvalResult, ParamSet, _decimal_terms, heine_phi, require_finite
 
 _SERIES_FRACTION_SPLIT = 0.9
 _CUT_EPS = 1e-12
 _CROSSCHECK_TOL = 1e-13
 _MAX_DEPTH = 1 << 16
 MAX_MOMENT_ORDER = 40
+_MAX_DIGITS = 2560
 
 
 class RatioVariant(enum.Enum):
@@ -339,29 +342,6 @@ def ratio_eval(variant: RatioVariant, p: ParamSet, z: complex) -> complex:
     return (1.0 - c) / (a * (1.0 - b)) * (base - 1.0)
 
 
-def _mp_heine_coeffs(a, b, c, q, N, scale=None):
-    """Series coefficients (optionally of Phi at scale*z) in mpmath floats."""
-    import mpmath
-
-    one = mpmath.mpf(1)
-    out = [one]
-    acc = one
-    qn = one
-    for n in range(N):
-        den = (1 - c * qn) * (1 - q * qn)
-        if den == 0:
-            raise DenominatorZero(f"(1 - c q^{n}) vanished")
-        acc = acc * (1 - a * qn) * (1 - b * qn) / den
-        qn *= q
-        out.append(acc)
-    if scale is not None:
-        spow = one
-        for n in range(1, N + 1):
-            spow *= scale
-            out[n] *= spow
-    return out
-
-
 def _moments_by_path_sums(variant: RatioVariant, p: ParamSet,
                           N: int) -> Optional[np.ndarray]:
     """ratio_moments' double route, or None where it does not apply."""
@@ -383,6 +363,28 @@ def _moments_by_path_sums(variant: RatioVariant, p: ParamSet,
     return m if np.all(np.isfinite(m)) else None
 
 
+def _moments_by_division(variant: RatioVariant, p: ParamSet, N: int) -> np.ndarray:
+    """ratio_moments' decimal route: long division of the two series."""
+    digits, prev = 40, None
+    while digits <= _MAX_DIGITS:
+        with decimal.localcontext(decimal.Context(prec=digits)):
+            a, b, c, q = map(decimal.Decimal, (p.a, p.b, p.c, p.q))
+            shifted = {RatioVariant.SHIFT_BC: (a, b * q, c * q),
+                       RatioVariant.SHIFT_A: (a * q, b, c),
+                       RatioVariant.SHIFT_ALL: (a * q, b * q, c * q)}[variant]
+            x = q if variant is RatioVariant.SHIFT_BC else 1
+            num, den = ([t for t, _ in itertools.islice(_decimal_terms(*abc, q, x, 0), N + 1)]
+                        for abc in (shifted, (a, b, c)))
+            m = []
+            for n in range(N + 1):
+                m.append(num[n] - sum(den[k] * m[n - k] for k in range(1, n + 1)))
+        out = np.array([float(v) for v in m])
+        if prev is not None and np.array_equal(out, prev):
+            return out
+        digits, prev = 2 * digits, out
+    raise NoConvergence(f"moments did not settle within {_MAX_DIGITS} digits")
+
+
 def ratio_moments(variant: RatioVariant, p: ParamSet, N: int) -> MomentSequence:
     """Taylor coefficients m_0..m_N of the moment-normalised ratio.
 
@@ -401,34 +403,13 @@ def ratio_moments(variant: RatioVariant, p: ParamSet, N: int) -> MomentSequence:
     numerators as gfraction_coeffs computes them (up to about 30 u on
     hypothesis-passing sets with q <= 0.9, hence about 1.5e-13 at N = 40).
     Otherwise (a numerator < 0, or gfraction_coeffs raising) the two Heine
-    series are divided at 40 digits, since with mixed signs a double path
-    sum can cancel.
+    series are divided in decimal, at 40 digits and then twice as many until
+    two runs give the same doubles; NoConvergence past _MAX_DIGITS.
     """
     if not 0 <= N <= MAX_MOMENT_ORDER:
         raise DomainError(f"N must lie in [0, {MAX_MOMENT_ORDER}], got {N}")
     m = _moments_by_path_sums(variant, p, N)
-    if m is not None:
-        return MomentSequence(m)
-    import mpmath
-
-    with mpmath.workdps(40):
-        a, b, c, q = (mpmath.mpf(x) for x in (p.a, p.b, p.c, p.q))
-        if variant is RatioVariant.SHIFT_BC:
-            num = _mp_heine_coeffs(a, b * q, c * q, q, N, scale=q)
-            den = _mp_heine_coeffs(a, b, c, q, N, scale=q)
-        elif variant is RatioVariant.SHIFT_A:
-            num = _mp_heine_coeffs(a * q, b, c, q, N)
-            den = _mp_heine_coeffs(a, b, c, q, N)
-        else:
-            num = _mp_heine_coeffs(a * q, b * q, c * q, q, N)
-            den = _mp_heine_coeffs(a, b, c, q, N)
-        m = [num[0] / den[0]]
-        for n in range(1, N + 1):
-            acc = num[n]
-            for k in range(1, n + 1):
-                acc -= den[k] * m[n - k]
-            m.append(acc / den[0])
-    return MomentSequence(np.array([float(x) for x in m]))
+    return MomentSequence(_moments_by_division(variant, p, N) if m is None else m)
 
 
 def totally_monotone_check(m: Union[MomentSequence, np.ndarray],
@@ -436,8 +417,11 @@ def totally_monotone_check(m: Union[MomentSequence, np.ndarray],
     """Hausdorff's criterion: (-1)^j (Delta^j m)_k >= -tol for j + k <= N.
 
     Delta is the forward difference in k.  Returns the first violating
-    (j, k) scanning difference order j outward, None when all pass.
+    (j, k) scanning difference order j outward, None when all pass.  tol
+    must be finite and >= 0.
     """
+    if not 0.0 <= tol < np.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {tol}")
     seq = np.asarray(m.m if isinstance(m, MomentSequence) else m, dtype=float)
     row = seq.copy()
     sign = 1.0

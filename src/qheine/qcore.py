@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import decimal
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,8 +38,9 @@ _CONSECUTIVE_SMALL = 3
 # absolute-term sum, weighted by the identity prefactor it meets, exceeds
 # this; beyond it double cancellation error would swamp residuals near 1e-13
 _ESCALATE_SCALE = 100.0
-# the escalated sums stop after this many terms per bit of precision, the
-# cap mpmath.qhyper applies
+# at dps digits the escalated sums stop after _TERMS_PER_BIT *
+# round((dps + 1) * 3.3219280948873626) terms, 50 per bit of the binary
+# precision mpmath takes for dps digits: the cap mpmath.qhyper applies
 _TERMS_PER_BIT = 50
 # heine_phi's break-even between the direct sum (about 1.1 us a term) and
 # the uncached pole split with its evaluation (about 100 us + 0.14 us a
@@ -307,7 +309,7 @@ def heine_phi(p: ParamSet, z: complex, tol: float = DEFAULT_TOL) -> EvalResult:
     require_finite(z=z)
     if abs(z) >= 1.0:
         raise DomainError(f"Heine series requires |z| < 1, got |z|={abs(z)}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError("tol must be positive")
     if z == 0:
         return EvalResult(1.0 + 0.0j, 1, 0.0)
@@ -330,7 +332,7 @@ def gauss_f(a: float, b: float, c: float, z: complex,
         raise DomainError(f"Gauss series requires |z| < 1, got |z|={abs(z)}")
     if c <= 0.0 and c == int(c):
         raise DomainError(f"c must not be a nonpositive integer, got {c}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError("tol must be positive")
     if z == 0:
         return EvalResult(1.0 + 0.0j, 1, 0.0)
@@ -397,24 +399,31 @@ def log_q(u: float, q: float) -> float:
 IDENTITY_NAMES = ("L2.1a", "L2.1b-first", "L2.1b-second", "Dq-relation")
 
 
+def _identity_factors(a, b, c, q):
+    """The real factors k_a, k_b1, k_b2, k_dq that _identity_residuals
+    applies to z Phi[aq,bq;cq^2], z Phi[aq,bq;cq], Phi(z) - Phi(qz) and
+    z Phi[aq,bq;cq]."""
+    return ((1 - a) * (c - b) / ((1 - c) * (1 - c * q)), a * (1 - b) / (1 - c),
+            a / (1 - a), (1 - a) * (1 - b) / ((1 - c) * (1 - q)))
+
+
 def _identity_residuals(values, a, b, c, q, z):
     """Residuals of the four contiguous relations from precomputed values.
 
     values = (Phi[a,b;c](z), Phi[a,bq;cq](z), Phi[aq,bq;cq^2](z),
               Phi[aq,b;c](z), Phi[aq,bq;cq](z), Phi[a,b;c](qz)).
-    Works for doubles and for mpmath numbers alike.
+    Each value and z is a (real, imaginary) pair, of doubles or Decimals;
+    the residuals come back as complex.  z Dq Phi is (Phi(z) - Phi(qz))/(1-q).
     """
-    f0, f_bq_cq, f_up2, f_aq, f_up1, f0_qz = values
-    one = f0 / f0 if f0 != 0 else 1.0
-    r_a = f0 - f_bq_cq - ((1 - a) * (c - b) / ((1 - c) * (1 - c * q))) * z * f_up2
-    r_b1 = f_aq - f0 - (a * (1 - b) / (1 - c)) * z * f_up1
-    r_b2 = f_aq - f0 - (a / (1 - a)) * (f0 - f0_qz)
-    if z == 0:
-        r_dq = 0 * one
-    else:
-        dq = (f0 - f0_qz) / (z * (1 - q))
-        r_dq = z * dq - ((1 - a) * (1 - b) / ((1 - c) * (1 - q))) * z * f_up1
-    return r_a, r_b1, r_b2, r_dq
+    x, y = z
+    k_a, k_b1, k_b2, k_dq = _identity_factors(a, b, c, q)
+    zf_up2, zf_up1 = ((x * v[0] - y * v[1], x * v[1] + y * v[0])
+                      for v in (values[2], values[4]))
+    # the k's are real, so past the two products z Phi the parts separate
+    parts = [(f0 - f_bq_cq - k_a * zf2, f_aq - f0 - k_b1 * zf1,
+              f_aq - f0 - k_b2 * (f0 - f0_qz), (f0 - f0_qz) / (1 - q) - k_dq * zf1)
+             for f0, f_bq_cq, _, f_aq, _, f0_qz, zf2, zf1 in zip(*values, zf_up2, zf_up1)]
+    return [complex(float(re), float(im)) for re, im in zip(*parts)]
 
 
 def _identity_series(a, b, c, q):
@@ -425,21 +434,29 @@ def _identity_series(a, b, c, q):
             (a * q, b, c, 1), (a * q, b * q, c * q, 1), (a, b, c, q))
 
 
+def _decimal_terms(a, b, c, q, x, y):
+    """The terms A_n z^n, n = 0, 1, ..., of Phi[a,b;c;q,x+iy] from Decimal
+    a, b, c, q, as Decimal (real, imaginary) pairs in the current decimal
+    context: t_0 = 1, t_{n+1} = t_n (1-aq^n)(1-bq^n)/((1-cq^n)(1-q^{n+1})) z."""
+    tr, ti, qn = decimal.Decimal(1), decimal.Decimal(0), decimal.Decimal(1)
+    while True:
+        yield tr, ti
+        r = (1 - a * qn) * (1 - b * qn) / ((1 - c * qn) * (1 - q * qn))
+        qn *= q
+        tr, ti = r * (tr * x - ti * y), r * (tr * y + ti * x)
+
+
 def _decimal_phi(a, b, c, q, x, y, digits, cap):
     """Phi[a,b;c;q,x+iy] from Decimal inputs, as Decimal (real, imaginary).
 
-    Sums t_0 = 1, t_{n+1} = t_n (1-aq^n)(1-bq^n)/((1-cq^n)(1-q^{n+1})) z in
-    the current decimal context until |t_n| < 10^-digits |sum| holds
-    _CONSECUTIVE_SMALL times in a row; raises NoConvergence after cap terms.
+    Sums the _decimal_terms until |t_n| < 10^-digits |sum| holds
+    _CONSECUTIVE_SMALL times in a row; raises NoConvergence after cap terms
+    beyond t_0.
     """
-    one, zero = decimal.Decimal(1), decimal.Decimal(0)
     tiny2 = decimal.Decimal(10) ** (-2 * digits)
-    tr, ti, sr, si, qn = one, zero, one, zero, one
+    sr = si = decimal.Decimal(0)
     small_run = 0
-    for _ in range(cap):
-        r = (one - a * qn) * (one - b * qn) / ((one - c * qn) * (one - q * qn))
-        qn *= q
-        tr, ti = r * (tr * x - ti * y), r * (tr * y + ti * x)
+    for tr, ti in itertools.islice(_decimal_terms(a, b, c, q, x, y), cap + 1):
         sr += tr
         si += ti
         if tr * tr + ti * ti < tiny2 * (sr * sr + si * si):
@@ -456,23 +473,17 @@ def _identity_residuals_mp(a, b, c, q, z, scale):
 
     The six series are summed by _decimal_phi at dps + 5 digits from the
     exact decimal values of the doubles a, b, c, q and z, with the term
-    cap mpmath.qhyper has at dps digits (_TERMS_PER_BIT times the binary
-    precision); the relations are then formed in mpmath at dps digits.
+    cap mpmath.qhyper has at dps digits (see _TERMS_PER_BIT), and the
+    relations are formed from those sums at the same precision.
     """
-    import mpmath
-
-    z = complex(z)
     dps = 25 + max(0, int(math.log10(scale)))
     digits = dps + 5
-    with mpmath.workdps(dps):
-        cap = _TERMS_PER_BIT * mpmath.mp.prec
-        with decimal.localcontext(decimal.Context(prec=digits)):
-            ad, bd, cd, qd, x, y = map(decimal.Decimal, (a, b, c, q, z.real, z.imag))
-            sums = [_decimal_phi(a1, b1, c1, qd, s * x, s * y, digits, cap)
-                    for a1, b1, c1, s in _identity_series(ad, bd, cd, qd)]
-        values = [mpmath.mpc(str(re), str(im)) for re, im in sums]
-        aa, bb, cc, qq = (mpmath.mpf(v) for v in (a, b, c, q))
-        return _identity_residuals(values, aa, bb, cc, qq, mpmath.mpc(z))
+    cap = _TERMS_PER_BIT * round((dps + 1) * 3.3219280948873626)
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        ad, bd, cd, qd, x, y = map(decimal.Decimal, (a, b, c, q, z.real, z.imag))
+        sums = [_decimal_phi(a1, b1, c1, qd, s * x, s * y, digits, cap)
+                for a1, b1, c1, s in _identity_series(ad, bd, cd, qd)]
+        return _identity_residuals(sums, ad, bd, cd, qd, (x, y))
 
 
 def verify_identities(p: ParamSet, z: complex, tol: float = DEFAULT_TOL) -> dict:
@@ -483,16 +494,18 @@ def verify_identities(p: ParamSet, z: complex, tol: float = DEFAULT_TOL) -> dict
     When their absolute-term sums, weighted by the prefactors they meet,
     exceed _ESCALATE_SCALE, double cancellation would swamp the residuals:
     the series are then summed again in stdlib decimal at
-    dps + 5 digits, dps = 25 + log10(scale), and the residuals formed at
-    dps digits (_identity_residuals_mp), so the report reflects the
-    identities, not roundoff.  That sum raises NoConvergence where it
-    needs more than _TERMS_PER_BIT = 50 times the binary precision of dps
-    in terms (about 4 800 at 28 digits), as mpmath.qhyper does.
+    dps + 5 digits, dps = 25 + log10(scale), and the residuals formed from
+    those sums at the same precision (_identity_residuals_mp), so the
+    report reflects the identities, not roundoff.  That sum raises
+    NoConvergence where it needs more than
+    _TERMS_PER_BIT * round((dps + 1) * 3.3219280948873626) terms (4 800 at
+    28 digits), the cap mpmath.qhyper has at dps digits.
     """
     require_finite(z=z)
+    z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError(f"identities require |z| < 1, got |z|={abs(z)}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError("tol must be positive")
     a, b, c, q = p.a, p.b, p.c, p.q
     if a == 1.0:
@@ -500,59 +513,17 @@ def verify_identities(p: ParamSet, z: complex, tol: float = DEFAULT_TOL) -> dict
     tight = min(tol, 1e-14)
     pairs = [_heine_phi_direct(ParamSet(a1, b1, c1, q), s * z, tight)
              for a1, b1, c1, s in _identity_series(a, b, c, q)]
+    k_a, k_b1, k_b2, k_dq = map(abs, _identity_factors(a, b, c, q))
     az = abs(z)
-    pref_a = abs((1 - a) * (c - b) / ((1 - c) * (1 - c * q))) * az
-    pref_b1 = abs(a * (1 - b) / (1 - c)) * az
-    pref_b2 = abs(a / (1 - a))
-    pref_dq = abs((1 - a) * (1 - b) / ((1 - c) * (1 - q))) * az
     sums = [s for _, s in pairs]
     scale = max(
-        sums[0] * max(1.0, pref_b2), sums[1], sums[2] * max(1.0, pref_a),
-        sums[3], sums[4] * max(1.0, pref_b1, pref_dq),
-        sums[5] * max(1.0, pref_b2),
+        sums[0] * max(1.0, k_b2), sums[1], sums[2] * max(1.0, k_a * az),
+        sums[3], sums[4] * max(1.0, k_b1 * az, k_dq * az),
+        sums[5] * max(1.0, k_b2),
     )
     if scale > _ESCALATE_SCALE:
         residuals = _identity_residuals_mp(a, b, c, q, z, scale)
     else:
-        values = tuple(res.value for res, _ in pairs)
-        residuals = _identity_residuals(values, a, b, c, q, complex(z))
-    return {name: float(abs(r)) for name, r in zip(IDENTITY_NAMES, residuals)}
-
-
-# ---------------------------------------------------------------------------
-# truncated power-series arithmetic (no caller in the package: gfrac expands
-# its fractions by path sums)
-
-def series_mul(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
-    """Coefficients of a*b truncated at order N."""
-    out = np.convolve(a[: N + 1], b[: N + 1])[: N + 1]
-    if len(out) < N + 1:
-        out = np.pad(out, (0, N + 1 - len(out)))
-    return out
-
-
-def series_reciprocal(b: np.ndarray, N: int) -> np.ndarray:
-    """Coefficients of 1/b truncated at order N; requires b[0] != 0."""
-    if b[0] == 0:
-        raise DomainError("series reciprocal requires a nonzero constant term")
-    out = np.zeros(N + 1, dtype=np.result_type(b.dtype, float))
-    out[0] = 1.0 / b[0]
-    bn = b[: N + 1]
-    for n in range(1, N + 1):
-        k = min(n, len(bn) - 1)
-        acc = np.dot(bn[1 : k + 1], out[n - 1 :: -1][:k])
-        out[n] = -acc / bn[0]
-    return out
-
-
-def series_div(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
-    """Coefficients of a/b truncated at order N via the standard recurrence."""
-    if b[0] == 0:
-        raise DomainError("series division requires a nonzero denominator constant term")
-    out = np.zeros(N + 1, dtype=np.result_type(a.dtype, b.dtype, float))
-    an = np.pad(a[: N + 1], (0, max(0, N + 1 - len(a))))
-    bn = np.pad(b[: N + 1], (0, max(0, N + 1 - len(b))))
-    for n in range(N + 1):
-        acc = an[n] - np.dot(bn[1 : n + 1], out[n - 1 :: -1][:n]) if n else an[0]
-        out[n] = acc / bn[0]
-    return out
+        values = [(res.value.real, res.value.imag) for res, _ in pairs]
+        residuals = _identity_residuals(values, a, b, c, q, (z.real, z.imag))
+    return {name: abs(r) for name, r in zip(IDENTITY_NAMES, residuals)}

@@ -104,6 +104,14 @@ class TestGFractionAndMoments:
         assert payload["moments"][0] == 1.0
         assert payload["first_violation"] is None
 
+    def test_moments_nan_tol_exit_2(self, capsys):
+        rc, _, err = run_cli(capsys, "moments", "--variant", "shift_a",
+                             "-a", "0.916261106974507", "-b", "-0.4121543034970268",
+                             "-c", "0.9069117785606575", "-q", "0.7501997147334211",
+                             "-N", "30", "--tol", "nan")
+        assert rc == 2
+        assert err.startswith("DomainError")
+
 
 class TestCheck:
     def test_hypothesis_failure_names(self, capsys):

@@ -353,7 +353,7 @@ class TestRatioMoments:
         used = N + 1 if variant is ALL else N
         got_p = gfraction_coeffs(fraction, p, used + 2).partial_numerators[:used]
         if np.any(got_p < 0.0):
-            # rounding pushed a numerator below 0: the 40-digit division
+            # rounding pushed a numerator below 0: the decimal division
             # serves the set, and the bound is not claimed for it
             return
         eps = 0.0
@@ -403,6 +403,30 @@ class TestRatioMoments:
         assert got[30] == pytest.approx(float(mp_moments(A, MIXED_A, 30)[30]), rel=1e-12)
         monkeypatch.setattr(gfrac, "_moments_by_path_sums", lambda *args: None)
         np.testing.assert_array_equal(got, ratio_moments(A, MIXED_A, 30).m)
+
+    def test_division_matches_oracle(self):
+        # the first set's moments fall so far below the series coefficients
+        # that the division needs about 320 digits
+        cases = [(BC, ParamSet(-0.0018060615541048801, -0.00034872208742232463,
+                               -0.0018082037599907903, 0.11216763885712927))]
+        rng = np.random.default_rng(61)
+        while len(cases) < 21:
+            a, b, c = rng.uniform(-100.0, 100.0, 3)
+            p = ParamSet(float(a), float(b), float(c), float(rng.uniform(0.01, 0.99)))
+            variant = (BC, A, ALL)[len(cases) % 3]
+            if gfrac._moments_by_path_sums(variant, p, 40) is None:
+                cases.append((variant, p))
+        for variant, p in cases:
+            want = [float(x) for x in mp_moments(variant, p, 40)]
+            np.testing.assert_allclose(ratio_moments(variant, p, 40).m, want,
+                                       rtol=1e-12, atol=0.0, err_msg=str((variant, p)))
+
+    def test_division_precision_ceiling(self, monkeypatch):
+        p = ParamSet(-0.0018060615541048801, -0.00034872208742232463,
+                     -0.0018082037599907903, 0.11216763885712927)
+        monkeypatch.setattr(gfrac, "_MAX_DIGITS", 160)
+        with pytest.raises(NoConvergence):
+            ratio_moments(BC, p, 40)
 
 
 # a SHIFT_A set outside the hypotheses whose partial numerators span +-13.9
@@ -485,6 +509,11 @@ class TestTotallyMonotone:
 
     def test_accepts_moment_sequence_type(self, p_a):
         assert totally_monotone_check(ratio_moments(A, p_a, 10)).passed
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(DomainError):
+            totally_monotone_check(np.array([1.0, 2.0, 0.0]), tol)
 
 
 class TestOracleEquivalenceProperty:

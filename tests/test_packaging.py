@@ -1,7 +1,10 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package imports is a declared dependency,
+and the package runs without the test-only ones."""
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -27,6 +30,30 @@ def test_runtime_imports_are_declared():
     imported = {name for path in (ROOT / "src" / "qheine").glob("*.py")
                 for name in imported_modules(path)}
     third_party = imported - set(sys.stdlib_module_names) - {"qheine"}
-    # mpmath is imported inside functions only, so this also checks the scan
-    assert {"numpy", "mpmath"} <= third_party
+    # lazy imports inside functions count too; mpmath is a test dependency only
+    assert "numpy" in third_party and "mpmath" not in third_party
     assert third_party <= declared, sorted(third_party - declared)
+
+
+NO_MPMATH = """
+import sys
+sys.modules["mpmath"] = None  # any import of mpmath now fails
+from qheine import ParamSet, RatioVariant, ratio_moments, verify_identities
+from qheine.cli import main
+res = verify_identities(ParamSet(0.2, 0.3, 0.93, 0.88), 0.4)  # escalates
+assert max(res.values()) < 1e-20, res
+mixed = ParamSet(0.916261106974507, -0.4121543034970268, 0.9069117785606575,
+                 0.7501997147334211)
+assert len(ratio_moments(RatioVariant.SHIFT_A, mixed, 30).m) == 31
+assert main(["identities", "-a", "0.2", "-b", "0.3", "-c", "0.93", "-q", "0.88",
+             "-z", "0.4"]) == 0
+"""
+
+
+def test_runs_without_mpmath():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", NO_MPMATH], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

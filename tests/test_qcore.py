@@ -20,9 +20,6 @@ from qheine.qcore import (
     q_diff,
     q_gamma,
     q_pochhammer,
-    series_div,
-    series_mul,
-    series_reciprocal,
     verify_identities,
 )
 
@@ -307,6 +304,14 @@ class TestHeinePhi:
         with pytest.raises(DomainError):
             heine_phi(p_bc, 0.5, tol=0.0)
 
+    def test_nan_tol_rejected(self, p_bc):
+        # NaN fails every comparison, so only `not tol > 0` rejects it
+        for call in (lambda: heine_phi(p_bc, 0.5, tol=math.nan),
+                     lambda: gauss_f(1.0, 1.0, 2.0, 0.5, tol=math.nan),
+                     lambda: verify_identities(p_bc, 0.3, tol=math.nan)):
+            with pytest.raises(DomainError, match="tol"):
+                call()
+
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_z_rejected(self, p_bc, bad):
         for z in (bad, complex(0.1, bad)):
@@ -573,6 +578,20 @@ class TestIdentityEscalation:
             dps = 25 + max(0, int(math.log10(scale)))
             assert max(abs(r) for r in residuals) <= scale * 10.0**-dps
 
+    def test_term_cap_is_qhyper_cap(self, monkeypatch):
+        caps = []
+        real = qcore._decimal_phi
+
+        def spy(*args):
+            caps.append((args[-2], args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(qcore, "_decimal_phi", spy)
+        verify_identities(ParamSet(*self.HEAVY[0]), self.HEAVY[1])
+        digits, cap = caps[0]
+        with mpmath.workdps(digits - 5):
+            assert cap == qcore._TERMS_PER_BIT * mpmath.mp.prec
+
     def test_term_cap_raises(self, monkeypatch):
         # about 7 500 terms are needed at z = 0.99; qhyper's cap is 6 000 here
         with pytest.raises(NoConvergence):
@@ -582,26 +601,3 @@ class TestIdentityEscalation:
         monkeypatch.setattr(qcore, "_TERMS_PER_BIT", 1)
         with pytest.raises(NoConvergence):
             verify_identities(ParamSet(*self.HEAVY[0]), 0.8)
-
-
-class TestSeriesArithmetic:
-    @given(st.lists(st.floats(min_value=-2, max_value=2), min_size=1, max_size=6),
-           st.lists(st.floats(min_value=-2, max_value=2), min_size=1, max_size=6))
-    @settings(max_examples=50, deadline=None)
-    def test_div_then_mul_roundtrip(self, xs, ys):
-        a = np.array(xs)
-        b = np.array(ys)
-        b[0] = 1.0
-        N = 8
-        quot = series_div(a, b, N)
-        back = series_mul(quot, b, N)
-        padded = np.pad(a[: N + 1], (0, max(0, N + 1 - len(a))))
-        np.testing.assert_allclose(back, padded, atol=1e-9)
-
-    def test_reciprocal(self):
-        b = np.array([1.0, -1.0])  # 1/(1-z) = sum z^n
-        np.testing.assert_allclose(series_reciprocal(b, 6), np.ones(7), atol=1e-14)
-
-    def test_reciprocal_needs_unit(self):
-        with pytest.raises(DomainError):
-            series_reciprocal(np.array([0.0, 1.0]), 3)
