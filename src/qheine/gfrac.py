@@ -373,8 +373,13 @@ def _moments_by_division(variant: RatioVariant, p: ParamSet, N: int) -> np.ndarr
                        RatioVariant.SHIFT_A: (a * q, b, c),
                        RatioVariant.SHIFT_ALL: (a * q, b * q, c * q)}[variant]
             x = q if variant is RatioVariant.SHIFT_BC else 1
+            # a factor (1 - a q^n)/(1 - c q^n) with a = c is made exactly 1, so
+            # coinciding series (b = c for SHIFT_BC) give exact zeros, not noise
+            # that two runs agree on only once it underflows a double
+            triples = [(0, b1, 0) if a1 == c1 else (a1, 0, 0) if b1 == c1 else (a1, b1, c1)
+                       for a1, b1, c1 in (shifted, (a, b, c))]
             num, den = ([t for t, _ in itertools.islice(_decimal_terms(*abc, q, x, 0), N + 1)]
-                        for abc in (shifted, (a, b, c)))
+                        for abc in triples)
             m = []
             for n in range(N + 1):
                 m.append(num[n] - sum(den[k] * m[n - k] for k in range(1, n + 1)))

@@ -38,9 +38,7 @@ _CONSECUTIVE_SMALL = 3
 # absolute-term sum, weighted by the identity prefactor it meets, exceeds
 # this; beyond it double cancellation error would swamp residuals near 1e-13
 _ESCALATE_SCALE = 100.0
-# at dps digits the escalated sums stop after _TERMS_PER_BIT *
-# round((dps + 1) * 3.3219280948873626) terms, 50 per bit of the binary
-# precision mpmath takes for dps digits: the cap mpmath.qhyper applies
+# the escalated sums' term cap per bit of working precision, as mpmath.qhyper
 _TERMS_PER_BIT = 50
 # heine_phi's break-even between the direct sum (about 1.1 us a term) and
 # the uncached pole split with its evaluation (about 100 us + 0.14 us a
@@ -473,11 +471,12 @@ def _identity_residuals_mp(a, b, c, q, z, scale):
 
     The six series are summed by _decimal_phi at dps + 5 digits from the
     exact decimal values of the doubles a, b, c, q and z, with the term
-    cap mpmath.qhyper has at dps digits (see _TERMS_PER_BIT), and the
+    cap mpmath.qhyper has at dps digits, and the
     relations are formed from those sums at the same precision.
     """
     dps = 25 + max(0, int(math.log10(scale)))
     digits = dps + 5
+    # mpmath's dps_to_prec, equal to mp.prec for dps 1-399
     cap = _TERMS_PER_BIT * round((dps + 1) * 3.3219280948873626)
     with decimal.localcontext(decimal.Context(prec=digits)):
         ad, bd, cd, qd, x, y = map(decimal.Decimal, (a, b, c, q, z.real, z.imag))
@@ -497,9 +496,7 @@ def verify_identities(p: ParamSet, z: complex, tol: float = DEFAULT_TOL) -> dict
     dps + 5 digits, dps = 25 + log10(scale), and the residuals formed from
     those sums at the same precision (_identity_residuals_mp), so the
     report reflects the identities, not roundoff.  That sum raises
-    NoConvergence where it needs more than
-    _TERMS_PER_BIT * round((dps + 1) * 3.3219280948873626) terms (4 800 at
-    28 digits), the cap mpmath.qhyper has at dps digits.
+    NoConvergence past qhyper's cap, 50 terms per bit (4 800 at 28 digits).
     """
     require_finite(z=z)
     z = complex(z)

@@ -396,6 +396,19 @@ class TestRatioMoments:
         p = ParamSet(0.5, 1e-13, 1e-13, 0.6875)
         assert ratio_moments(BC, p, 20).m.tolist() == [1.0] + [0.0] * 20
 
+    @pytest.mark.parametrize("variant,abcq", [
+        (BC, (-0.5, 0.3, 0.3, 0.7)),        # p_2 = q(a - cq)/(1 - cq^2) < 0
+        (ALL, (0.0, -0.4, -0.4, 0.6)),
+        (ALL, (-0.4, 0.0, -0.4, 0.6)),
+    ])
+    def test_division_gives_exact_zeros_for_a_unit_ratio(self, monkeypatch, variant, abcq):
+        # the two series coincide; at a ceiling of 80 digits their moments
+        # must settle as exact zeros, not as noise of about 1e-80
+        p = ParamSet(*abcq)
+        assert gfrac._moments_by_path_sums(variant, p, 20) is None
+        monkeypatch.setattr(gfrac, "_MAX_DIGITS", 80)
+        assert ratio_moments(variant, p, 20).m.tolist() == [1.0] + [0.0] * 20
+
     def test_mixed_signs_take_the_division(self, monkeypatch):
         pn = gfraction_coeffs(A, MIXED_A, 32).partial_numerators
         assert pn.min() < -13.0 and pn.max() > 13.0
