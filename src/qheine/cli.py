@@ -235,7 +235,22 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise DomainError(f"cannot parse boolean from {text!r}")
+    raise ValueError(f"cannot parse boolean from {text!r}")
+
+
+# scan config key -> (GridSpec field, parser); absent keys keep the defaults
+_GRID_KEYS = {
+    "tests.bn": ("run_bn", _parse_bool),
+    "tests.vconvex": ("run_vconvex", _parse_bool),
+    "tests.kq": ("run_kq", _parse_bool),
+    "curve.r": ("curve_r", float),
+    "curve.samples": ("curve_samples", int),
+    "kq.radii": ("kq_radii", int),
+    "kq.angles": ("kq_angles", int),
+    "kq.rmax": ("kq_rmax", float),
+    "bn.n": ("bn_n", int),
+    "cap": ("cap", int),
+}
 
 
 def load_grid_config(path: str) -> GridSpec:
@@ -251,33 +266,24 @@ def load_grid_config(path: str) -> GridSpec:
             key, _, value = line.partition("=")
             entries[key.strip()] = value.strip()
 
-    def take(key, default=None):
-        return entries.pop(key, default)
-
-    ranges = {}
+    fields = {}
     for name in "abcq":
         try:
-            ranges[name] = Range(float(take(f"{name}.min")),
-                                 float(take(f"{name}.max")),
-                                 int(take(f"{name}.steps")))
+            fields[name] = Range(float(entries.pop(f"{name}.min", None)),
+                                 float(entries.pop(f"{name}.max", None)),
+                                 int(entries.pop(f"{name}.steps", None)))
         except (TypeError, ValueError):
             raise DomainError(f"{path}: missing or malformed {name}.min/max/steps")
-    grid = GridSpec(
-        a=ranges["a"], b=ranges["b"], c=ranges["c"], q=ranges["q"],
-        run_bn=_parse_bool(take("tests.bn", "true")),
-        run_vconvex=_parse_bool(take("tests.vconvex", "true")),
-        run_kq=_parse_bool(take("tests.kq", "true")),
-        curve_r=float(take("curve.r", "0.99")),
-        curve_samples=int(take("curve.samples", "1024")),
-        kq_radii=int(take("kq.radii", "32")),
-        kq_angles=int(take("kq.angles", "32")),
-        kq_rmax=float(take("kq.rmax", "0.99")),
-        bn_n=int(take("bn.n", "100")),
-        cap=int(take("cap", "100000")),
-    )
+    for key, (field, parse) in _GRID_KEYS.items():
+        if key in entries:
+            value = entries.pop(key)
+            try:
+                fields[field] = parse(value)
+            except ValueError:
+                raise DomainError(f"{path}: malformed {key}={value!r}")
     if entries:
         raise DomainError(f"{path}: unknown config keys {sorted(entries)}")
-    return grid
+    return GridSpec(**fields)
 
 
 def cmd_scan(args) -> int:

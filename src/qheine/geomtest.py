@@ -112,13 +112,11 @@ class CurveMap:
     label: str
     num: Callable[[float], tuple]
     den: Callable[[float], tuple]
-    z_prefactor: bool = True
 
     def sample_circle(self, r: float, M: int) -> np.ndarray:
         radius = np.array([r])
         w = _eval_on_rings(self.num, radius, M)[0] / _eval_on_rings(self.den, radius, M)[0]
-        if self.z_prefactor:
-            w = w * (r * _turns(M))
+        w = w * (r * _turns(M))
         bad = np.nonzero(~np.isfinite(w))[0]
         if len(bad):
             raise CutError(f"{self.label}: non-finite curve sample at index {bad[0]}")

@@ -139,21 +139,18 @@ def raw_cfrac_coeffs(variant: RatioVariant, p: ParamSet, N: int) -> np.ndarray:
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
     a, b, c, q = p.a, p.b, p.c, p.q
-    k = np.arange(1, N + 1)
-    odd = k % 2 == 1
-    n = np.where(odd, (k - 1) // 2, k // 2)
-    qn = q**n.astype(float)
+    qn = q ** (np.arange(1, N + 1) // 2).astype(float)
     q2n = qn * qn
+    o, e = slice(0, None, 2), slice(1, None, 2)  # k = 2n+1, k = 2n: each form on its own
+    num, den = np.empty(N), np.empty(N)
     if variant is RatioVariant.SHIFT_BC:
-        num = np.where(odd, qn * (1.0 - a * qn) * (c * qn - b),
-                       (qn / q) * (1.0 - b * qn) * (c * qn - a))
-        den = np.where(odd, (1.0 - c * q2n) * (1.0 - c * q2n * q),
-                       (1.0 - c * q2n / q) * (1.0 - c * q2n))
+        num[o] = qn[o] * (1.0 - a * qn[o]) * (c * qn[o] - b)
+        num[e] = (qn[e] / q) * (1.0 - b * qn[e]) * (c * qn[e] - a)
     else:
-        num = np.where(odd, qn * (1.0 - a * qn * q) * (b - c * qn),
-                       qn * (1.0 - b * qn) * (a - c * qn / q))
-        den = np.where(odd, (1.0 - c * q2n) * (1.0 - c * q2n * q),
-                       (1.0 - c * q2n / q) * (1.0 - c * q2n))
+        num[o] = qn[o] * (1.0 - a * qn[o] * q) * (b - c * qn[o])
+        num[e] = qn[e] * (1.0 - b * qn[e]) * (a - c * qn[e] / q)
+    den[o] = (1.0 - c * q2n[o]) * (1.0 - c * q2n[o] * q)
+    den[e] = (1.0 - c * q2n[e] / q) * (1.0 - c * q2n[e])
     _check_denominators(den, p)
     return num / den
 
@@ -184,22 +181,26 @@ def gfraction_coeffs(variant: RatioVariant, p: ParamSet, N: int,
     if argument not in ("qz", "z"):
         raise DomainError(f"argument must be 'qz' or 'z', got {argument!r}")
     a, b, c, q = p.a, p.b, p.c, p.q
-    i = np.arange(N + 1)
-    odd = i % 2 == 1
-    n = np.where(odd, (i - 1) // 2, i // 2)
-    qn = q**n.astype(float)
+    # i = 2n+1 at odd entries, i = 2n at even ones; each form is evaluated
+    # on its own entries only (even ones from i = 2), so none overflows unused
+    n = (np.arange(N + 1) // 2).astype(float)
+    qn = q**n
     q2n = qn * qn
-    den = np.where(odd, 1.0 - c * q2n, 1.0 - c * q2n / q)
-    den[0] = 1.0
+    o, e = slice(1, None, 2), slice(2, None, 2)
+    den = np.ones(N + 1)
+    den[o], den[e] = 1.0 - c * q2n[o], 1.0 - c * q2n[e] / q
     _check_denominators(den, p)
     # one variant's g is the other's 1 - g with a and b swapped; taking
     # both from their closed forms keeps 1 - g accurate where g is near 1
     x, y = (a, b) if variant is RatioVariant.SHIFT_BC else (b, a)
-    plain = np.where(odd, 1.0 - x * qn, 1.0 - y * qn) / den
-    diff = np.where(odd, qn * (x - c * qn), qn * (y - c * q ** (n - 1.0))) / den
+    plain = np.empty(N + 1)
+    plain[o], plain[::2] = 1.0 - x * qn[o], 1.0 - y * qn[::2]
+    plain /= den
+    diff = np.zeros(N + 1)  # diff[0] = 0 is SHIFT_BC's placeholder g_0
+    diff[o], diff[e] = qn[o] * (x - c * qn[o]), qn[e] * (y - c * q ** (n[e] - 1.0))
+    diff /= den
     if variant is RatioVariant.SHIFT_BC:
         g = diff
-        g[0] = 0.0
         partial = plain[1:-1] * g[2:]
         expected = -q * raw_cfrac_coeffs(variant, p, N - 1)
     else:

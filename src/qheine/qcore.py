@@ -1,11 +1,12 @@
 """Double-precision building blocks for basic (Heine) hypergeometric series.
 
 q-Pochhammer symbols, series coefficients, the pole split of Phi[a,b;c;q,z]
-and its point evaluation (direct sum or pole split, whichever is cheaper),
-the classical Gauss series F(a,b;c;z) used for q->1 limit checks, the
-q-difference operator, Jackson's q-Gamma function, and a four-way identity
-residual report, which sums its series in stdlib decimal where double
-cancellation would swamp the residuals.
+and its point evaluation (direct sum or pole split, by a fixed rule on the
+inputs), the classical Gauss series F(a,b;c;z) used for q->1 limit checks,
+the q-difference operator, Jackson's q-Gamma function, and a four-way
+identity residual report, which sums its series in stdlib decimal where
+double cancellation would swamp the residuals.  Heine and Gauss series are
+summed directly by one array kernel.
 
 All evaluators are pure functions; nothing here holds mutable state.
 """
@@ -40,9 +41,11 @@ _CONSECUTIVE_SMALL = 3
 _ESCALATE_SCALE = 100.0
 # the escalated sums' term cap per bit of working precision, as mpmath.qhyper
 _TERMS_PER_BIT = 50
-# heine_phi's break-even between the direct sum (about 1.1 us a term) and
-# the uncached pole split with its evaluation (about 100 us + 0.14 us a
-# term), measured on one core of a 2-core x86-64, Python 3.11, numpy 2.4
+# heine_phi's route rule: the break-even of a scalar direct sum (1.1 us a
+# term) and the uncached split (100 us + 0.14 us a term).  The array direct
+# sum costs 20-35 us + 0.1 us a term, the split 65 us at K = 181 (one core,
+# x86-64, Python 3.11, numpy 2.4); the rule is kept so routes and rounding
+# stay unchanged, and moving it is a separate change
 _SPLIT_MIN_TERMS = 90
 _SPLIT_TERM_COST = 0.13
 
@@ -141,21 +144,25 @@ def q_pochhammer(a: complex, q: float, n: Union[int, float]) -> complex:
 
 def geometric_powers(x: float, count: int) -> np.ndarray:
     """[1, x, x^2, ..., x^(count-1)] by cumulative product."""
-    if count <= 0:
-        return np.ones(0)
-    return np.concatenate([[1.0], np.cumprod(np.full(count - 1, x))])
+    out = np.full(max(count, 0), x)
+    out[:1] = 1.0
+    return np.multiply.accumulate(out, out=out)
 
 
-@lru_cache(maxsize=256)
-def _heine_coeffs_cached(p: ParamSet, N: int) -> np.ndarray:
+def _heine_ratios(p: ParamSet, N: int) -> np.ndarray:
+    """Term ratios A_{n+1}/A_n = (1-aq^n)(1-bq^n)/((1-cq^n)(1-q^{n+1})) for
+    n = 0..N-1; raises DenominatorZero if a factor (1 - c q^n) vanishes."""
     qn = geometric_powers(p.q, N)
     den = (1.0 - p.c * qn) * (1.0 - p.q * qn)
-    if np.any(den == 0.0):
+    if not den.all():
         raise DenominatorZero(f"(1 - c q^n) vanished for p={p}")
-    ratios = (1.0 - p.a * qn) * (1.0 - p.b * qn) / den
-    out = np.concatenate([[1.0], np.cumprod(ratios)])
-    out.setflags(write=False)
-    return out
+    return (1.0 - p.a * qn) * (1.0 - p.b * qn) / den
+
+
+def _gauss_ratios(a: float, b: float, c: float, N: int) -> np.ndarray:
+    """Term ratios (a+n)(b+n)/((c+n)(1+n)) of F(a,b;c;z) for n = 0..N-1."""
+    n = np.arange(N)
+    return (a + n) * (b + n) / ((c + n) * (1.0 + n))
 
 
 def heine_coeffs(p: ParamSet, N: int) -> PowerSeries:
@@ -163,13 +170,10 @@ def heine_coeffs(p: ParamSet, N: int) -> PowerSeries:
 
     Built by the multiplicative recurrence, vectorised as a cumulative
     product; raises DenominatorZero if any factor (1 - c q^n) vanishes.
-    The returned coefficient array is cached and read-only.
     """
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
-    if N == 0:
-        return PowerSeries(np.ones(1))
-    return PowerSeries(_heine_coeffs_cached(p, N))
+    return PowerSeries(np.concatenate([[1.0], np.cumprod(_heine_ratios(p, N))]))
 
 
 def _split_terms(p: ParamSet) -> int:
@@ -207,7 +211,9 @@ def heine_pole_split(p: ParamSet) -> Tuple[float, int, np.ndarray]:
         raise DenominatorZero(f"(1 - c q^n) vanished for p={p}")
     zero = np.nonzero(np.any(x[:2] == 1.0, axis=0))[0]
     if len(zero):
-        return 0.0, 0, heine_coeffs(p, int(zero[0])).coeffs
+        C = heine_coeffs(p, int(zero[0])).coeffs
+        C.setflags(write=False)
+        return 0.0, 0, C
     lg = np.log1p(np.where(x > 1.0, x - 2.0, -x))  # log|1 - x|
     logs = lg[0] + lg[1] - lg[2] - lg[3]
     negative = np.sum(x[:3] > 1.0, axis=0)
@@ -224,53 +230,49 @@ def heine_pole_split(p: ParamSet) -> Tuple[float, int, np.ndarray]:
     return L, m, C
 
 
-def _sum_with_stopping(term_ratio: Callable[[int], complex], z: complex,
-                       tol: float) -> Tuple[EvalResult, float]:
-    """Kahan-compensated sum of t_0=1, t_{n+1} = t_n * term_ratio(n) * z.
+def _direct_sum(z: complex, tol: float, ratios: Callable[..., np.ndarray],
+                *args) -> Tuple[EvalResult, float]:
+    """sum_n t_n with t_0 = 1, t_{n+1} = t_n r_n z, r = ratios(*args, N).
 
-    Stops once |t_n| < tol |sum| holds _CONSECUTIVE_SMALL times in a row;
-    the error estimate is the geometric tail bound from the last term.
-    Also returns sum |t_n|, the summation's cancellation scale.
+    The terms are one cumulative product of r z.  The sum stops at the
+    first n where |t_n| < tol |S_n| has held _CONSECUTIVE_SMALL times in a
+    row, S_n the partial sum to t_n; until the rule fires N doubles, up to
+    MAX_TERMS.  The value is the correctly rounded sum of t_0..t_n, and the
+    error estimate the geometric tail bound from t_n at ratio max(|z|,
+    |t_n| / the last nonzero |t_k|, k < n), at most 0.9995.  Also returns
+    sum |t_n|, the summation's cancellation scale.  A non-finite partial
+    sum raises NoConvergence.
     """
-    s = 1.0 + 0.0j
-    comp = 0.0j
-    term = 1.0 + 0.0j
-    small_run = 0
-    prev_abs = 1.0
-    abs_sum = 1.0
-    for n in range(1, MAX_TERMS + 1):
-        term = term * term_ratio(n - 1) * z
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        t_abs = abs(term)
-        abs_sum += t_abs
-        if t_abs < tol * abs(s):
-            small_run += 1
-            if small_run >= _CONSECUTIVE_SMALL:
-                ratio_obs = t_abs / prev_abs if prev_abs > 0.0 else abs(z)
-                rho = min(0.9995, max(abs(z), ratio_obs))
-                res = EvalResult(complex(s), n + 1, t_abs * rho / (1.0 - rho))
-                return res, abs_sum
-        else:
-            small_run = 0
-        prev_abs = t_abs if t_abs > 0.0 else prev_abs
-    raise NoConvergence(f"series did not settle within {MAX_TERMS} terms")
-
-
-def _heine_phi_direct(p: ParamSet, z: complex, tol: float) -> Tuple[EvalResult, float]:
-    """Phi by _sum_with_stopping, with its absolute-term sum."""
-    a, b, c, q = p.a, p.b, p.c, p.q
-
-    def ratio(n):
-        qn = q**n
-        den = (1.0 - c * qn) * (1.0 - q * qn)
-        if den == 0.0:
-            raise DenominatorZero(f"(1 - c q^{n}) vanished for p={p}")
-        return (1.0 - a * qn) * (1.0 - b * qn) / den
-
-    return _sum_with_stopping(ratio, z, tol)
+    # |t_n| falls below tol near n = log(tol)/log|z| for bounded coefficients
+    guess = min(MAX_TERMS, math.log(tol) / math.log(abs(z))) if z else 0.0
+    N = min(MAX_TERMS, max(16, int(guess) + 2 * _CONSECUTIVE_SMALL))
+    while True:
+        t = np.empty(N + 1, dtype=complex)
+        t[0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply.accumulate(ratios(*args, N) * z, out=t[1:])
+            s = np.add.accumulate(t)
+            t_abs = np.abs(t)
+            small = t_abs[1:] < tol * np.abs(s[1:])
+        # bool bytes: the first _CONSECUTIVE_SMALL small terms in a row
+        first = small.tobytes().find(b"\x01" * _CONSECUTIVE_SMALL)
+        n = first + _CONSECUTIVE_SMALL if first >= 0 else N
+        if not cmath.isfinite(s[n]):
+            bad = int(np.argmin(np.isfinite(s)))
+            raise NoConvergence(f"series overflowed: partial sum {bad} is {s[bad]}")
+        if first >= 0:
+            break
+        if N == MAX_TERMS:
+            raise NoConvergence(f"series did not settle within {MAX_TERMS} terms")
+        N = min(2 * N, MAX_TERMS)
+    k = n - 1
+    while t_abs[k] == 0.0:  # t_0 = 1 ends the search
+        k -= 1
+    rho = min(0.9995, max(abs(z), float(t_abs[n] / t_abs[k])))
+    est = float(t_abs[n]) * rho / (1.0 - rho)
+    head = t[:n + 1]
+    value = complex(math.fsum(head.real.tolist()), math.fsum(head.imag.tolist()))
+    return EvalResult(value, n + 1, est), float(t_abs[:n + 1].sum())
 
 
 def _heine_phi_split(p: ParamSet, z: complex) -> EvalResult:
@@ -286,16 +288,15 @@ def _heine_phi_split(p: ParamSet, z: complex) -> EvalResult:
 
 
 def heine_phi(p: ParamSet, z: complex, tol: float = DEFAULT_TOL) -> EvalResult:
-    """Phi[a,b;c;q,z] for |z| < 1, by the cheaper of two routes.
+    """Phi[a,b;c;q,z] for |z| < 1, by one of two routes.
 
-    The direct sum (_sum_with_stopping) needs about log(tol)/log|z| terms,
-    which grows without bound as |z| -> 1; the pole split
-    (heine_pole_split) needs K terms, from q and the parameters alone, and
-    works to full double precision whatever tol asks.  The split is taken
-    when log(tol)/log|z| > _SPLIT_MIN_TERMS + _SPLIT_TERM_COST * K, the
-    point where it becomes the faster, and K <= MAX_TERMS (q below about
-    0.9995); otherwise the sum is direct.  The choice depends only on the
-    inputs.
+    The direct sum (_direct_sum) needs about log(tol)/log|z| terms, which
+    grows without bound as |z| -> 1; the pole split (heine_pole_split)
+    needs K terms, from q and the parameters alone, and works to full
+    double precision whatever tol asks.  The split is taken when
+    log(tol)/log|z| > _SPLIT_MIN_TERMS + _SPLIT_TERM_COST * K and
+    K <= MAX_TERMS (q below about 0.9995); otherwise the sum is direct.
+    The choice depends only on the inputs.
 
     terms_used counts the terms summed: series terms on the direct route,
     len(C) on the split.  est_error estimates the truncation error only,
@@ -315,7 +316,7 @@ def heine_phi(p: ParamSet, z: complex, tol: float = DEFAULT_TOL) -> EvalResult:
     if (K <= MAX_TERMS and math.log(tol) / math.log(abs(z))
             > _SPLIT_MIN_TERMS + _SPLIT_TERM_COST * K):
         return _heine_phi_split(p, z)
-    return _heine_phi_direct(p, z, tol)[0]
+    return _direct_sum(z, tol, _heine_ratios, p)[0]
 
 
 def gauss_f(a: float, b: float, c: float, z: complex,
@@ -334,22 +335,14 @@ def gauss_f(a: float, b: float, c: float, z: complex,
         raise DomainError("tol must be positive")
     if z == 0:
         return EvalResult(1.0 + 0.0j, 1, 0.0)
-
-    def ratio(n):
-        return (a + n) * (b + n) / ((c + n) * (1.0 + n))
-
-    return _sum_with_stopping(ratio, z, tol)[0]
+    return _direct_sum(z, tol, _gauss_ratios, a, b, c)[0]
 
 
 def gauss_coeffs(a: float, b: float, c: float, N: int) -> PowerSeries:
     """Coefficients (a)_n (b)_n / ((c)_n n!) for n = 0..N."""
     if c <= 0.0 and c == int(c):
         raise DomainError(f"c must not be a nonpositive integer, got {c}")
-    if N == 0:
-        return PowerSeries(np.ones(1))
-    n = np.arange(N)
-    ratios = (a + n) * (b + n) / ((c + n) * (1.0 + n))
-    return PowerSeries(np.concatenate([[1.0], np.cumprod(ratios)]))
+    return PowerSeries(np.concatenate([[1.0], np.cumprod(_gauss_ratios(a, b, c, N))]))
 
 
 def q_diff(f: Union[PowerSeries, Callable[[complex], complex]], q: float,
@@ -508,7 +501,7 @@ def verify_identities(p: ParamSet, z: complex, tol: float = DEFAULT_TOL) -> dict
     if a == 1.0:
         raise DomainError("identity (b) second form requires a != 1")
     tight = min(tol, 1e-14)
-    pairs = [_heine_phi_direct(ParamSet(a1, b1, c1, q), s * z, tight)
+    pairs = [_direct_sum(s * z, tight, _heine_ratios, ParamSet(a1, b1, c1, q))
              for a1, b1, c1, s in _identity_series(a, b, c, q)]
     k_a, k_b1, k_b2, k_dq = map(abs, _identity_factors(a, b, c, q))
     az = abs(z)

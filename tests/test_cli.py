@@ -8,6 +8,7 @@ import pytest
 
 from qheine.cli import curve_to_csv, curve_to_svg, load_grid_config, main
 from qheine.geomtest import BoundaryCurve, boundary_curve, identity_map
+from qheine.scanner import GridSpec, Range
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +272,23 @@ class TestScan:
         assert grid.a.steps == 3 and grid.c.steps == 2
         assert grid.run_kq is False and grid.run_bn is True
         assert grid.curve_samples == 512
+
+    def test_ranges_alone_give_grid_defaults(self, tmp_path):
+        cfg = tmp_path / "ranges.cfg"
+        ranges = [line for line in SCAN_CFG.splitlines()
+                  if line.split("=")[0].endswith((".min", ".max", ".steps"))]
+        cfg.write_text("\n".join(ranges) + "\n")
+        grid = load_grid_config(str(cfg))
+        assert grid == GridSpec(a=grid.a, b=grid.b, c=grid.c, q=grid.q)
+        assert grid.q == Range(0.2, 0.8, 2)
+
+    @pytest.mark.parametrize("entry", ["curve.r=abc", "bn.n=1.5", "tests.bn=maybe"])
+    def test_malformed_value_exit_2(self, capsys, tmp_path, entry):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SCAN_CFG + entry + "\n")
+        rc = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert entry.split("=")[0] in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -193,6 +194,18 @@ class TestGFractionCoeffs:
                 pn = gfraction_coeffs(variant, p, 100).partial_numerators
                 assert pn.min() >= -1e-14
                 assert pn.max() <= 1.0 + 1e-14
+
+    @pytest.mark.parametrize("variant", [BC, A, ALL])
+    def test_tiny_q_warns_nothing(self, variant):
+        # each closed form is evaluated only on its own entries: the unused
+        # branch used to overflow q^-1 and 1/q at q = 5e-324
+        p = ParamSet(0.9199670257249022, 0.7520618752243152, 0.0, 5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = ratio_moments(variant, p, 9).m
+            raw_cfrac_coeffs(variant, p.shifted(c=0.3), 9)
+            gfraction_coeffs(variant, p.shifted(c=0.3), 9)
+        assert m[0] == 1.0 and np.all(np.isfinite(m))
 
 
 class TestGFractionEval:

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qheine import qcore
@@ -193,6 +194,7 @@ class TestHeinePoleSplit:
         L, m, C = heine_pole_split(p)
         assert L == 0.0 and m == 0 and len(C) == length
         np.testing.assert_array_equal(C, heine_coeffs(p, length - 1).coeffs)
+        assert not C.flags.writeable  # the split is cached and shared
 
     def test_term_count_from_q_alone(self):
         counts = [len(heine_pole_split(ParamSet(0.5, 0.5, 0.2, q))[2])
@@ -391,6 +393,86 @@ class TestHeinePhiRoutes:
         L, m, C = heine_pole_split(p)
         scale = abs(L * z**m / (1 - z)) + float(np.sum(np.abs(C) * r ** np.arange(len(C))))
         assert abs(got - want) <= 1e-12 * abs(want) + 16 * np.finfo(float).eps * scale
+
+
+def kahan_terms_sum(ratio, z, tol):
+    """The scalar direct sum: t_0 = 1, t_{n+1} = t_n ratio(n) z, Kahan-summed
+    until |t_n| < tol |sum| three times in a row; returns the value, the
+    terms used, the geometric tail estimate and sum |t_n|."""
+    s, comp, term, small_run, prev_abs, abs_sum = 1.0 + 0.0j, 0.0j, 1.0 + 0.0j, 0, 1.0, 1.0
+    for n in range(1, qcore.MAX_TERMS + 1):
+        term = term * ratio(n - 1) * z
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        t_abs = abs(term)
+        abs_sum += t_abs
+        if t_abs < tol * abs(s):
+            small_run += 1
+            if small_run >= 3:
+                rho = min(0.9995, max(abs(z), t_abs / prev_abs))
+                return complex(s), n + 1, t_abs * rho / (1.0 - rho), abs_sum
+        else:
+            small_run = 0
+        prev_abs = t_abs if t_abs > 0.0 else prev_abs
+    raise NoConvergence("reference sum did not settle")
+
+
+unit_st = st.floats(min_value=-0.95, max_value=0.95)
+
+
+class TestDirectSum:
+    """The array kernel against the scalar Kahan loop it replaced."""
+
+    @staticmethod
+    def assert_matches(got, want):
+        (res, abs_sum), (value, terms, est, ref_abs_sum) = got, want
+        assert res.terms_used == terms
+        # the floor covers estimates in the subnormal range, where rounding is coarse
+        assert res.est_error == pytest.approx(est, rel=1e-12, abs=1e-300)
+        assert abs_sum == pytest.approx(ref_abs_sum, rel=1e-12)
+        assert abs(res.value - value) <= 32 * np.finfo(float).eps * ref_abs_sum
+
+    @given(unit_st, unit_st, unit_st, st.floats(min_value=0.1, max_value=0.9),
+           st.floats(min_value=0.0, max_value=0.9), st.floats(min_value=0.0, max_value=2 * math.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_heine_matches_scalar_loop(self, a, b, c, q, r, theta):
+        z = complex(r * math.cos(theta), r * math.sin(theta))
+
+        def ratio(n):
+            qn = q**n
+            return (1.0 - a * qn) * (1.0 - b * qn) / ((1.0 - c * qn) * (1.0 - q * qn))
+
+        self.assert_matches(qcore._direct_sum(z, 1e-12, qcore._heine_ratios, ParamSet(a, b, c, q)),
+                            kahan_terms_sum(ratio, z, 1e-12))
+
+    @given(unit_st, unit_st, unit_st,
+           st.floats(min_value=0.0, max_value=0.9), st.floats(min_value=0.0, max_value=2 * math.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_gauss_matches_scalar_loop(self, a, b, c, r, theta):
+        assume(abs(c) > 1e-6)  # near c = 0 the terms overflow, which the loop cannot report
+        z = complex(r * math.cos(theta), r * math.sin(theta))
+
+        def ratio(n):
+            return (a + n) * (b + n) / ((c + n) * (1.0 + n))
+
+        self.assert_matches(qcore._direct_sum(z, 1e-12, qcore._gauss_ratios, a, b, c),
+                            kahan_terms_sum(ratio, z, 1e-12))
+
+    def test_overflow_fails_fast(self):
+        # both used to run all MAX_TERMS terms and then report no settling
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match="overflow"):
+                heine_phi(ParamSet(1e10, 1e10, 0.5, 0.5), 0.5)
+            with pytest.raises(NoConvergence, match="overflow"):
+                gauss_f(300.0, 300.0, 0.5, 0.9)
+
+    def test_unsettled_sum_raises(self, monkeypatch):
+        monkeypatch.setattr(qcore, "MAX_TERMS", 40)
+        with pytest.raises(NoConvergence, match="40 terms"):
+            qcore._direct_sum(0.5, 1e-300, qcore._gauss_ratios, 1.0, 1.0, 2.0)
 
 
 class TestGaussF:
