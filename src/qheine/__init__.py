@@ -6,7 +6,6 @@ from .errors import (
     CapExceeded,
     CutError,
     DegenerateCurve,
-    DegenerateParameter,
     DenominatorZero,
     DomainError,
     InconsistentCoefficients,

@@ -41,11 +41,9 @@ from .scanner import GridSpec, Range, records_to_csv, scan, soundness_violations
 
 SCHEMA_VERSION = 1
 
-_VARIANTS = {
-    "shift_bc": RatioVariant.SHIFT_BC,
-    "shift_a": RatioVariant.SHIFT_A,
-    "shift_all": RatioVariant.SHIFT_ALL,
-}
+_VARIANT_NAMES = sorted(v.value for v in RatioVariant)
+_SVG_SIZE = 800
+_SVG_MARGIN = 60
 
 
 def _emit(payload: dict):
@@ -79,32 +77,33 @@ def curve_to_csv(curve) -> str:
     return "theta,re_w,im_w\n" + ("%.17g,%.17g,%.17g\n" * M) % tuple(rows.ravel().tolist())
 
 
-def curve_to_svg(curve, size: int = 800, margin: int = 60) -> str:
+def curve_to_svg(curve) -> str:
     """One closed polyline plus axes, 800x800, equal-aspect autoscaling."""
     xs, ys = curve.samples.real, curve.samples.imag
     xmin, xmax = float(xs.min()), float(xs.max())
     ymin, ymax = float(ys.min()), float(ys.max())
     bw = max(xmax - xmin, 1e-30)
     bh = max(ymax - ymin, 1e-30)
-    scale = min((size - 2 * margin) / bw, (size - 2 * margin) / bh)
+    span = _SVG_SIZE - 2 * _SVG_MARGIN
+    scale = min(span / bw, span / bh)
     cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
 
     def sx(x):
-        return 0.5 * size + (x - cx) * scale
+        return 0.5 * _SVG_SIZE + (x - cx) * scale
 
     def sy(y):
-        return 0.5 * size - (y - cy) * scale
+        return 0.5 * _SVG_SIZE - (y - cy) * scale
 
     # the closed polyline repeats its first point
     xy = np.column_stack([sx(np.append(xs, xs[0])), sy(np.append(ys, ys[0]))])
     pts = " ".join(["%.3f,%.3f"] * len(xy)) % tuple(xy.ravel().tolist())
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">\n'
-        f'<rect width="{size}" height="{size}" fill="white"/>\n'
-        f'<line x1="0" y1="{sy(0.0):.3f}" x2="{size}" y2="{sy(0.0):.3f}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">\n'
+        f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>\n'
+        f'<line x1="0" y1="{sy(0.0):.3f}" x2="{_SVG_SIZE}" y2="{sy(0.0):.3f}" '
         f'stroke="#bbbbbb" stroke-width="1"/>\n'
-        f'<line x1="{sx(0.0):.3f}" y1="0" x2="{sx(0.0):.3f}" y2="{size}" '
+        f'<line x1="{sx(0.0):.3f}" y1="0" x2="{sx(0.0):.3f}" y2="{_SVG_SIZE}" '
         f'stroke="#bbbbbb" stroke-width="1"/>\n'
         f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.2"/>\n'
         f"</svg>\n"
@@ -138,7 +137,7 @@ def cmd_eval(args) -> int:
     if args.gauss:
         res = gauss_f(args.a, args.b, args.c, z, args.tol)
     elif args.ratio:
-        value = ratio_eval(_VARIANTS[args.ratio], _params(args), z)
+        value = ratio_eval(RatioVariant(args.ratio), _params(args), z)
         _emit({"value": _pair(value), "terms_used": None, "est_error": None})
         return 0
     else:
@@ -157,7 +156,7 @@ def cmd_identities(args) -> int:
 
 
 def cmd_gfraction(args) -> int:
-    gf = gfraction_coeffs(_VARIANTS[args.variant], _params(args), args.N,
+    gf = gfraction_coeffs(RatioVariant(args.variant), _params(args), args.N,
                           argument=args.argument)
     _emit({
         "variant": args.variant,
@@ -169,7 +168,7 @@ def cmd_gfraction(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    ms = ratio_moments(_VARIANTS[args.variant], _params(args), args.N)
+    ms = ratio_moments(RatioVariant(args.variant), _params(args), args.N)
     rep = totally_monotone_check(ms, args.tol)
     _emit({
         "variant": args.variant,
@@ -183,7 +182,7 @@ def cmd_moments(args) -> int:
 def cmd_check(args) -> int:
     p = _params(args)
     if args.what == "hypothesis":
-        rep = hypothesis_check(_VARIANTS[args.variant], p)
+        rep = hypothesis_check(RatioVariant(args.variant), p)
         _emit({"what": "hypothesis", "variant": args.variant,
                "pass": rep.passed, "violations": list(rep.violations)})
         return 0 if rep.passed else 1
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind = ev.add_mutually_exclusive_group()
     kind.add_argument("--phi", action="store_true", help="Heine series (default)")
     kind.add_argument("--gauss", action="store_true", help="Gauss series (ignores -q)")
-    kind.add_argument("--ratio", choices=sorted(_VARIANTS))
+    kind.add_argument("--ratio", choices=_VARIANT_NAMES)
     _add_params(ev)
     ev.add_argument("-z", required=True, help="complex point, e.g. 0.3 or 0.3+0.4j")
     ev.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -339,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     idn.set_defaults(func=cmd_identities)
 
     gf = sp.add_parser("gfraction", help="dump g_k and partial numerators")
-    gf.add_argument("--variant", choices=sorted(_VARIANTS), required=True)
+    gf.add_argument("--variant", choices=_VARIANT_NAMES, required=True)
     _add_params(gf)
     gf.add_argument("-N", type=int, default=32)
     gf.add_argument("--argument", choices=["qz", "z"], default="qz")
     gf.set_defaults(func=cmd_gfraction)
 
     mo = sp.add_parser("moments", help="moment sequence and total monotonicity")
-    mo.add_argument("--variant", choices=sorted(_VARIANTS), required=True)
+    mo.add_argument("--variant", choices=_VARIANT_NAMES, required=True)
     _add_params(mo)
     mo.add_argument("-N", type=int, default=15)
     mo.add_argument("--tol", type=float, default=1e-9)
@@ -354,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ck = sp.add_parser("check", help="hypothesis / close-to-convexity / B_n checks")
     ck.add_argument("--what", choices=["hypothesis", "kq", "bn"], required=True)
-    ck.add_argument("--variant", choices=sorted(_VARIANTS), default="shift_bc")
+    ck.add_argument("--variant", choices=_VARIANT_NAMES, default="shift_bc")
     _add_params(ck)
     ck.add_argument("-N", type=int, default=100, help="B_n chain length for --what bn")
     ck.set_defaults(func=cmd_check)

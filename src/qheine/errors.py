@@ -25,10 +25,6 @@ class InconsistentCoefficients(QHeineError):
     """g-fraction partial numerators disagree with the raw fraction coefficients."""
 
 
-class DegenerateParameter(QHeineError):
-    """A parameter value makes the requested ratio identically degenerate."""
-
-
 class DegenerateCurve(QHeineError):
     """A boundary curve is flat below tolerance; no convexity verdict possible."""
 

@@ -30,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CutError, DegenerateCurve, DomainError, NoConvergence
+from .gfrac import RatioVariant
 from .qcore import (ParamSet, gauss_coeffs, geometric_powers, heine_coeffs,
                     heine_pole_split, log_q, q_gamma)
 
@@ -123,6 +124,12 @@ class CurveMap:
         return w
 
 
+def _ratio_map(variant: RatioVariant, p: ParamSet, label: str, s: float = 1.0) -> CurveMap:
+    """z Phi[shifted;q,sz]/Phi[a,b;c;q,sz], shifted as the variant says."""
+    shifted = ParamSet(*variant.shift(p.a, p.b, p.c, p.q), p.q)
+    return CurveMap(label, _heine_side(shifted, s), _heine_side(p, s))
+
+
 def map_shift_bc(p: ParamSet, normalized: bool = False) -> CurveMap:
     """z Phi[a,bq;cq;q,sz]/Phi[a,b;c;q,sz]; s = q for the normalised form.
 
@@ -130,21 +137,19 @@ def map_shift_bc(p: ParamSet, normalized: bool = False) -> CurveMap:
     in the imaginary direction under the SHIFT_BC hypotheses; the plain
     form has its cut on [q, inf) and is offered for visual comparison.
     """
-    s = p.q if normalized else 1.0
-    shifted = p.shifted(b=p.b * p.q, c=p.c * p.q)
-    return CurveMap("shift_bc_qz" if normalized else "shift_bc",
-                    _heine_side(shifted, s), _heine_side(p, s))
+    if normalized:
+        return _ratio_map(RatioVariant.SHIFT_BC, p, "shift_bc_qz", p.q)
+    return _ratio_map(RatioVariant.SHIFT_BC, p, "shift_bc")
 
 
 def map_shift_a(p: ParamSet) -> CurveMap:
     """z Phi[aq,b;c;q,z]/Phi[a,b;c;q,z]."""
-    return CurveMap("shift_a", _heine_side(p.shifted(a=p.a * p.q)), _heine_side(p))
+    return _ratio_map(RatioVariant.SHIFT_A, p, "shift_a")
 
 
 def map_shift_all(p: ParamSet) -> CurveMap:
     """z Phi[aq,bq;cq;q,z]/Phi[a,b;c;q,z]."""
-    shifted = p.shifted(a=p.a * p.q, b=p.b * p.q, c=p.c * p.q)
-    return CurveMap("shift_all", _heine_side(shifted), _heine_side(p))
+    return _ratio_map(RatioVariant.SHIFT_ALL, p, "shift_all")
 
 
 def map_zphi(p: ParamSet) -> CurveMap:

@@ -9,21 +9,22 @@ Taylor coefficients form totally monotone (Hausdorff) moment sequences.
 This module builds the coefficient sequences, evaluates the fractions by
 backward recurrence, extracts moment sequences as weighted path sums of
 the fractions (series division where numerators are negative), and tests
-total monotonicity.
+total monotonicity.  SHIFT_ALL has no fraction of its own: with
+F_A = 1/(1 - p_1 z T) the SHIFT_A fraction and T = 1/(1 - p_2 z/(1 - ...))
+its tail, the SHIFT_ALL ratio is z T/(1 - p_1 z T).
 """
 from __future__ import annotations
 
 import decimal
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import (
     CutError,
-    DegenerateParameter,
     DenominatorZero,
     DomainError,
     InconsistentCoefficients,
@@ -50,6 +51,12 @@ class RatioVariant(enum.Enum):
     SHIFT_BC = "shift_bc"
     SHIFT_A = "shift_a"
     SHIFT_ALL = "shift_all"
+
+    def shift(self, a, b, c, q):
+        """The numerator's (a, b, c), from floats or Decimals alike."""
+        a_up = self is not RatioVariant.SHIFT_BC
+        bc_up = self is not RatioVariant.SHIFT_A
+        return (a * q if a_up else a, b * q if bc_up else b, c * q if bc_up else c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,11 +171,11 @@ def gfraction_coeffs(variant: RatioVariant, p: ParamSet, N: int,
     stored as 0 (the fraction starts at (1-g_1)g_2, so p_k = (1-g_k)g_{k+1}).
     SHIFT_A: g_0 = 1-a, g_{2n} = (1-a q^n)/(1-c q^{2n-1}) for n >= 1,
     g_{2n+1} = (1-b q^n)/(1-c q^{2n}) for n >= 0, and p_k = (1-g_{k-1})g_k.
-    SHIFT_ALL shares SHIFT_A's fraction (its ratio is an affine transform
-    of the SHIFT_A one).  The factors 1-g_k come from their own closed
-    forms, (1-a q^n)/(1-c q^{2n}) and (1-b q^n)/(1-c q^{2n-1}) for
-    SHIFT_BC, a, q^n (b - c q^n)/(1-c q^{2n}) and
-    q^n (a - c q^{n-1})/(1-c q^{2n-1}) for SHIFT_A, not from 1 minus a
+    SHIFT_ALL shares SHIFT_A's fraction: its ratio is z T/(1 - p_1 z T)
+    with T = 1/(1 - p_2 z/(1 - ...)) the tail after p_1.  The factors
+    1-g_k come from their own closed forms, (1-a q^n)/(1-c q^{2n}) and
+    (1-b q^n)/(1-c q^{2n-1}) for SHIFT_BC, a, q^n (b - c q^n)/(1-c q^{2n})
+    and q^n (a - c q^{n-1})/(1-c q^{2n-1}) for SHIFT_A, not from 1 minus a
     rounded g_k, which would lose them where g_k is near 1.
 
     The partial numerators are cross-checked against raw_cfrac_coeffs;
@@ -304,43 +311,33 @@ def gfraction_series(gf: GFraction, N: int) -> np.ndarray:
     return coeffs
 
 
-def _phi_ratio_series(num_p: ParamSet, den_p: ParamSet, z: complex) -> complex:
-    tol = 1e-14
-    return heine_phi(num_p, z, tol).value / heine_phi(den_p, z, tol).value
-
-
 def ratio_eval(variant: RatioVariant, p: ParamSet, z: complex) -> complex:
     """The full shifted ratio z*Phi[...]/Phi[a,b;c;q,z] at a point.
 
-    Uses direct series for |z| < 0.9 and the g-fraction beyond; the two
-    routes agree on the overlap.  SHIFT_ALL is realised through SHIFT_A
-    and the contiguous identity
-    z Phi[aq,bq;cq] / Phi[a,b;c] = ((1-c)/(a(1-b))) (Phi[aq,b;c]/Phi[a,b;c] - 1),
-    so it requires a != 0 and b != 1.
+    For |z| < 0.9 the quotient of the two direct series; beyond, the
+    g-fraction: z F for SHIFT_BC (plain-z form) and SHIFT_A, and
+    z T/(1 - p_1 z T) for SHIFT_ALL, with T the tail of SHIFT_A's fraction
+    after p_1.  The two routes agree on the overlap, and every variant
+    evaluates for all a and b.
     """
     require_finite(z=z)
     z = complex(z)
-    a, b, c, q = p.a, p.b, p.c, p.q
-    if variant is RatioVariant.SHIFT_ALL and (a == 0.0 or b == 1.0):
-        raise DegenerateParameter(
-            "SHIFT_ALL needs a != 0 and b != 1; the identity route divides by a(1-b)"
-        )
     if z == 0:
         return 0.0 + 0.0j
-    use_series = abs(z) < _SERIES_FRACTION_SPLIT
+    if abs(z) < _SERIES_FRACTION_SPLIT:
+        num = ParamSet(*variant.shift(p.a, p.b, p.c, p.q), p.q)
+        return z * (heine_phi(num, z, 1e-14).value / heine_phi(p, z, 1e-14).value)
     if variant is RatioVariant.SHIFT_BC:
-        if use_series:
-            return z * _phi_ratio_series(p.shifted(b=b * q, c=c * q), p, z)
-        gf = gfraction_coeffs(variant, p, 512, argument="z")
-        return z * gfraction_eval(gf, z).value
-    if use_series:
-        base = _phi_ratio_series(p.shifted(a=a * q), p, z)
-    else:
-        gf = gfraction_coeffs(RatioVariant.SHIFT_A, p, 512)
-        base = gfraction_eval(gf, z).value
+        return z * gfraction_eval(gfraction_coeffs(variant, p, 512, argument="z"), z).value
+    gf = gfraction_coeffs(RatioVariant.SHIFT_A, p, 512)
     if variant is RatioVariant.SHIFT_A:
-        return z * base
-    return (1.0 - c) / (a * (1.0 - b)) * (base - 1.0)
+        return z * gfraction_eval(gf, z).value
+    tail = replace(gf, partial_numerators=gf.partial_numerators[1:])
+    zt = z * gfraction_eval(tail, z).value
+    t = 1.0 - gf.partial_numerators[0] * zt
+    if t == 0:
+        raise DenominatorZero(f"fraction denominator vanished at depth 1 for w={z}")
+    return zt / t
 
 
 def _moments_by_path_sums(variant: RatioVariant, p: ParamSet,
@@ -370,9 +367,7 @@ def _moments_by_division(variant: RatioVariant, p: ParamSet, N: int) -> np.ndarr
     while digits <= _MAX_DIGITS:
         with decimal.localcontext(decimal.Context(prec=digits)):
             a, b, c, q = map(decimal.Decimal, (p.a, p.b, p.c, p.q))
-            shifted = {RatioVariant.SHIFT_BC: (a, b * q, c * q),
-                       RatioVariant.SHIFT_A: (a * q, b, c),
-                       RatioVariant.SHIFT_ALL: (a * q, b * q, c * q)}[variant]
+            shifted = variant.shift(a, b, c, q)
             x = q if variant is RatioVariant.SHIFT_BC else 1
             # a factor (1 - a q^n)/(1 - c q^n) with a = c is made exactly 1, so
             # coinciding series (b = c for SHIFT_BC) give exact zeros, not noise

@@ -74,13 +74,12 @@ class ParamSet:
         require_finite(a=self.a, b=self.b, c=self.c)
         if not 0.0 < self.q < 1.0:
             raise DomainError(f"q must lie in (0,1), got {self.q}")
-        if self.c > 0.0:
-            if self.c >= 1.0:
-                m = round(math.log(1.0 / self.c) / math.log(self.q)) if self.c > 1.0 else 0
-                if m >= 0 and abs(self.c * self.q**m - 1.0) < 1e-14:
-                    raise DomainError(
-                        f"c={self.c} equals q^-{m}; denominator (1-c q^{m}) vanishes"
-                    )
+        if self.c >= 1.0:
+            m = round(math.log(self.c) / -math.log(self.q))
+            if abs(self.c * self.q**m - 1.0) < 1e-14:
+                raise DomainError(
+                    f"c={self.c} equals q^-{m}; denominator (1-c q^{m}) vanishes"
+                )
 
     def shifted(self, *, a=None, b=None, c=None):
         """Copy with some of a, b, c replaced (q never changes)."""

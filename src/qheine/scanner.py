@@ -93,6 +93,18 @@ class ScanRecord:
     notes: Tuple[str, ...]
 
 
+def _run_test(name: str, enabled: bool, notes: list, test):
+    """test() if enabled; a disabled test or a QHeineError becomes a note and None."""
+    if not enabled:
+        notes.append(f"{name}:disabled")
+        return None
+    try:
+        return test()
+    except QHeineError as exc:
+        notes.append(f"{name}:{type(exc).__name__}")
+        return None
+
+
 def scan_point(a: float, b: float, c: float, q: float, grid: GridSpec) -> ScanRecord:
     """Evaluate every enabled check at one parameter tuple."""
     notes = []
@@ -114,17 +126,7 @@ def scan_point(a: float, b: float, c: float, q: float, grid: GridSpec) -> ScanRe
         kq_route = "none"
         notes.append(f"kq-route:{type(exc).__name__}")
 
-    bn_verdict = None
-    if grid.run_bn:
-        try:
-            bn_verdict = bn_sequence(p, grid.bn_n).verdict.value
-        except QHeineError as exc:
-            notes.append(f"bn:{type(exc).__name__}")
-    else:
-        notes.append("bn:disabled")
-
-    vconvex = None
-    if grid.run_vconvex:
+    def vconvex_test():
         maps = []
         if hyp1:
             maps.append(map_shift_bc(p, normalized=True))
@@ -134,26 +136,14 @@ def scan_point(a: float, b: float, c: float, q: float, grid: GridSpec) -> ScanRe
         if not maps:
             maps.append(map_shift_bc(p, normalized=True))
             notes.append("vconvex:exploratory")
-        try:
-            vconvex = all(
-                vertical_convexity_check(
-                    boundary_curve(m, grid.curve_r, grid.curve_samples)).passed
-                for m in maps)
-        except QHeineError as exc:
-            notes.append(f"vconvex:{type(exc).__name__}")
-    else:
-        notes.append("vconvex:disabled")
+        return all(vertical_convexity_check(
+            boundary_curve(m, grid.curve_r, grid.curve_samples)).passed for m in maps)
 
-    emp_kq = None
-    if grid.run_kq:
-        try:
-            emp_kq = kq_membership_test(
-                p, KqGrid(grid.kq_radii, grid.kq_angles, grid.kq_rmax)).passed
-        except QHeineError as exc:
-            notes.append(f"kq:{type(exc).__name__}")
-    else:
-        notes.append("kq:disabled")
-
+    bn_verdict = _run_test("bn", grid.run_bn, notes,
+                           lambda: bn_sequence(p, grid.bn_n).verdict.value)
+    vconvex = _run_test("vconvex", grid.run_vconvex, notes, vconvex_test)
+    emp_kq = _run_test("kq", grid.run_kq, notes, lambda: kq_membership_test(
+        p, KqGrid(grid.kq_radii, grid.kq_angles, grid.kq_rmax)).passed)
     return ScanRecord(a, b, c, q, hyp1, hyp2, kq_route, bn_verdict, vconvex,
                       emp_kq, tuple(notes))
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -11,7 +12,6 @@ from conftest import sample_disk, sample_hypothesis_passing
 from qheine import gfrac
 from qheine.errors import (
     CutError,
-    DegenerateParameter,
     DenominatorZero,
     DomainError,
     NoConvergence,
@@ -260,6 +260,18 @@ class TestGFractionEval:
             gfraction_eval(gf, 0.99, tol=1e-15)
 
 
+class TestRatioVariantShift:
+    def test_floats_and_decimals_alike(self):
+        a, b, c, q = 0.5, 0.4, 0.2, 0.6
+        D = decimal.Decimal
+        want = {BC: ((a, b * q, c * q), (D("0.5"), D("0.24"), D("0.12"))),
+                A: ((a * q, b, c), (D("0.3"), D("0.4"), D("0.2"))),
+                ALL: ((a * q, b * q, c * q), (D("0.3"), D("0.24"), D("0.12")))}
+        for variant, (floats, decimals) in want.items():
+            assert variant.shift(a, b, c, q) == floats
+            assert variant.shift(D("0.5"), D("0.4"), D("0.2"), D("0.6")) == decimals
+
+
 class TestRatioEval:
     def test_zero_for_all_variants(self, p_bc, p_a):
         assert ratio_eval(BC, p_bc, 0.0) == 0.0
@@ -267,7 +279,7 @@ class TestRatioEval:
         assert ratio_eval(ALL, p_a, 0.0) == 0.0
 
     def test_shift_all_identity_route(self, p_t1):
-        # the identity route must reproduce the direct series ratio
+        # the series route is the direct quotient of the two series
         z = 0.3
         got = ratio_eval(ALL, p_t1, z)
         shifted = p_t1.shifted(a=p_t1.a * p_t1.q, b=p_t1.b * p_t1.q,
@@ -291,11 +303,50 @@ class TestRatioEval:
             want = z * series_ratio(p_a.shifted(a=p_a.a * p_a.q), p_a, z)
             assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
-    def test_degenerate_parameters(self):
-        with pytest.raises(DegenerateParameter):
-            ratio_eval(ALL, ParamSet(0.0, 0.5, 0.2, 0.5), 0.3)
-        with pytest.raises(DegenerateParameter):
-            ratio_eval(ALL, ParamSet(0.5, 1.0, 0.2, 0.5), 0.3)
+    @staticmethod
+    def quotient(variant, p, z):
+        """z Phi[num]/Phi[p] with num shifted as the variant's definition says."""
+        a, b, c, q = p.a, p.b, p.c, p.q
+        num = {BC: (a, b * q, c * q), A: (a * q, b, c), ALL: (a * q, b * q, c * q)}[variant]
+        return z * series_ratio(ParamSet(*num, q), p, z)
+
+    @pytest.mark.parametrize("z", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    def test_shift_all_small_z_relative(self, z):
+        # a route through (F_A - 1)/(a(1-b)) loses relative accuracy like eps/|z|
+        p = ParamSet(0.5, 0.4, 0.2, 0.6)
+        want = self.quotient(ALL, p, z)
+        assert abs(ratio_eval(ALL, p, z) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("p", [ParamSet(0.0, 0.5, 0.2, 0.5), ParamSet(0.5, 1.0, 0.2, 0.5)],
+                             ids=["a=0", "b=1"])
+    @pytest.mark.parametrize("z", [0.3, 0.95j])
+    def test_shift_all_at_a0_and_b1(self, p, z):
+        # the ratio is defined there, and both routes evaluate it
+        want = self.quotient(ALL, p, z)
+        assert abs(ratio_eval(ALL, p, z) - want) <= 1e-13 * abs(want)
+
+    def test_shift_all_contiguous_identity(self, p_t1, p_bc):
+        # z Phi[aq,bq;cq]/Phi[a,b;c] = (1-c)/(a(1-b)) (Phi[aq,b;c]/Phi[a,b;c] - 1), off the cut
+        z = 1.5j
+        for p in (p_t1, p_bc):
+            got = ratio_eval(ALL, p, z)
+            want = (1 - p.c) / (p.a * (1 - p.b)) * (ratio_eval(A, p, z) / z - 1.0)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_shift_bc_and_a_unchanged(self):
+        # bit for bit the direct quotient (|z| < 0.9) and z F (beyond)
+        rng = np.random.default_rng(10)
+        for variant in (BC, A):
+            for p in sample_hypothesis_passing(rng, 6, variant, q_max=0.9):
+                for z in np.concatenate([sample_disk(rng, 3, 0.85),
+                                         0.95 * np.exp(1j * rng.uniform(0.5, 5.8, 3))]):
+                    z = complex(z)
+                    if abs(z) < 0.9:
+                        want = self.quotient(variant, p, z)
+                    else:
+                        arg = "z" if variant is BC else "qz"
+                        want = z * gfraction_eval(gfraction_coeffs(variant, p, 512, arg), z).value
+                    assert ratio_eval(variant, p, z) == want
 
 
 class TestRatioMoments:

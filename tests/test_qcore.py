@@ -107,8 +107,12 @@ class TestParamSet:
         # c = 1/q zeroes the (1 - c q) factor
         with pytest.raises(DomainError):
             ParamSet(0.5, 0.5, 2.0, 0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"q\^-0"):
             ParamSet(0.5, 0.5, 1.0, 0.5)
+        # c = q^-3 zeroes (1 - c q^3)
+        for q in (0.5, 0.7):
+            with pytest.raises(DomainError, match=r"q\^-3"):
+                ParamSet(0.5, 0.5, q**-3, q)
 
     def test_large_c_off_ladder_is_fine(self):
         ParamSet(0.5, 0.5, 1.7, 0.5)
