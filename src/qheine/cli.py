@@ -156,11 +156,12 @@ def cmd_identities(args) -> int:
 
 
 def cmd_gfraction(args) -> int:
-    gf = gfraction_coeffs(RatioVariant(args.variant), _params(args), args.N,
-                          argument=args.argument)
+    p = _params(args)
+    gf = gfraction_coeffs(RatioVariant(args.variant), p, args.N)
+    bc_in_z = args.variant == "shift_bc" and args.argument == "z"
     _emit({
         "variant": args.variant,
-        "argument_scale": gf.argument_scale,
+        "argument_scale": 1.0 / p.q if bc_in_z else 1.0,
         "g": [float(x) for x in gf.g],
         "partial_numerators": [float(x) for x in gf.partial_numerators],
     })

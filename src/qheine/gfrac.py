@@ -9,16 +9,18 @@ Taylor coefficients form totally monotone (Hausdorff) moment sequences.
 This module builds the coefficient sequences, evaluates the fractions by
 backward recurrence, extracts moment sequences as weighted path sums of
 the fractions (series division where numerators are negative), and tests
-total monotonicity.  SHIFT_ALL has no fraction of its own: with
-F_A = 1/(1 - p_1 z T) the SHIFT_A fraction and T = 1/(1 - p_2 z/(1 - ...))
-its tail, the SHIFT_ALL ratio is z T/(1 - p_1 z T).
+total monotonicity.  SHIFT_BC's fraction is the one in the normalised
+variable qz, Phi[a,bq;cq;q,qz]/Phi[a,b;c;q,qz].  SHIFT_ALL has no
+fraction of its own: with F_A = 1/(1 - p_1 z T) the SHIFT_A fraction and
+T = 1/(1 - p_2 z/(1 - ...)) its tail, the SHIFT_ALL ratio is
+z T/(1 - p_1 z T).
 """
 from __future__ import annotations
 
 import decimal
 import enum
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -65,17 +67,13 @@ class GFraction:
 
     g holds the closed-form sequence g_0..g_N (g_0 is a placeholder 0 for
     SHIFT_BC, whose fraction starts at (1-g_1)g_2; it is 1-a for SHIFT_A).
-    partial_numerators[k] is the (k+1)-th z-coefficient p_{k+1} of
-    1/(1 - p_1 z/(1 - p_2 z/(1 - ...))).  argument_scale is 1 for the
-    qz-normalised SHIFT_BC form and for SHIFT_A; the plain-z SHIFT_BC form
-    carries 1/q, recording its z -> z/q rescaling (cut moves to [q, inf)).
+    partial_numerators[k] is the (k+1)-th coefficient p_{k+1} of
+    1/(1 - p_1 w/(1 - p_2 w/(1 - ...))).  The variable w is z for SHIFT_A
+    and qz for SHIFT_BC, whose fraction is Phi[a,bq;cq;q,qz]/Phi[a,b;c;q,qz].
     """
 
-    variant: RatioVariant
-    params: ParamSet
     g: np.ndarray
     partial_numerators: np.ndarray
-    argument_scale: float = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +160,7 @@ def raw_cfrac_coeffs(variant: RatioVariant, p: ParamSet, N: int) -> np.ndarray:
     return num / den
 
 
-def gfraction_coeffs(variant: RatioVariant, p: ParamSet, N: int,
-                     argument: str = "qz") -> GFraction:
+def gfraction_coeffs(variant: RatioVariant, p: ParamSet, N: int) -> GFraction:
     """Closed-form g-sequence and partial numerators up to index N.
 
     SHIFT_BC: g_{2n+1} = q^n (a - c q^n)/(1 - c q^{2n}) for n >= 0 and
@@ -179,14 +176,11 @@ def gfraction_coeffs(variant: RatioVariant, p: ParamSet, N: int,
     rounded g_k, which would lose them where g_k is near 1.
 
     The partial numerators are cross-checked against raw_cfrac_coeffs;
-    disagreement raises InconsistentCoefficients.  argument="z" selects
-    the plain-z SHIFT_BC form (argument_scale 1/q, cut on [q, inf)); the
-    default "qz" is the normalised form with cut on [1, inf).
+    disagreement raises InconsistentCoefficients.  The SHIFT_BC fraction
+    is in the normalised variable qz, so its cut lies on [1, inf) in qz.
     """
     if N < 2:
         raise DomainError(f"N must be >= 2, got {N}")
-    if argument not in ("qz", "z"):
-        raise DomainError(f"argument must be 'qz' or 'z', got {argument!r}")
     a, b, c, q = p.a, p.b, p.c, p.q
     # i = 2n+1 at odd entries, i = 2n at even ones; each form is evaluated
     # on its own entries only (even ones from i = 2), so none overflows unused
@@ -216,17 +210,16 @@ def gfraction_coeffs(variant: RatioVariant, p: ParamSet, N: int,
         partial = diff[:-1] * g[1:]
         expected = np.concatenate([[a * (1.0 - b) / (1.0 - c)],
                                    raw_cfrac_coeffs(RatioVariant.SHIFT_A, p, N - 1)])
-    scale = 1.0 if argument == "qz" or variant is not RatioVariant.SHIFT_BC else 1.0 / q
     err = np.max(np.abs(partial - expected) / np.maximum(1.0, np.abs(expected)))
     if err > _CROSSCHECK_TOL:
         raise InconsistentCoefficients(
             f"g-fraction numerators disagree with raw coefficients by {err:.3e}"
         )
-    return GFraction(variant, p, g, partial, scale)
+    return GFraction(g, partial)
 
 
-def gfraction_eval(gf: GFraction, z: complex, tol: float = 1e-13) -> EvalResult:
-    """Evaluate 1/(1 - p_1 w/(1 - p_2 w/...)) at w = argument_scale * z.
+def gfraction_eval(gf: GFraction, w: complex, tol: float = 1e-13) -> EvalResult:
+    """Evaluate 1/(1 - p_1 w/(1 - p_2 w/...)) at w, which is qz for SHIFT_BC.
 
     Backward recurrence from depth D with tail 1, doubling D from 32 until
     two successive depths agree within tol.  Points on the cut (w real,
@@ -235,13 +228,13 @@ def gfraction_eval(gf: GFraction, z: complex, tol: float = 1e-13) -> EvalResult:
     out of depth (2^16 or the stored coefficient count) raises
     NoConvergence.
     """
-    require_finite(z=z)
-    w = complex(z) * gf.argument_scale
+    require_finite(w=w)
+    w = complex(w)
     if abs(w.imag) < _CUT_EPS and w.real >= 1.0 - _CUT_EPS:
-        raise CutError(f"z={z} lies on the fraction's cut")
+        raise CutError(f"w={w} lies on the fraction's cut")
     if w == 0:
         return EvalResult(1.0 + 0.0j, 1, 0.0)
-    p = gf.partial_numerators
+    p = gf.partial_numerators.tolist()  # numpy scalar arithmetic is several times slower
 
     def backward(d):
         t = 1.0 + 0.0j
@@ -299,41 +292,47 @@ def _path_sums(p: np.ndarray, N: int) -> np.ndarray:
 
 
 def gfraction_series(gf: GFraction, N: int) -> np.ndarray:
-    """Taylor coefficients (in z) of the fraction, exact to order N.
+    """Taylor coefficients in w (qz for SHIFT_BC) of the fraction, exact to order N.
 
     The path sums of _path_sums over the stored numerators (a depth below
-    N+1 ends the fraction with tail 1).  The argument_scale is applied, so
-    the result expands the same function gfraction_eval evaluates.
+    N+1 ends the fraction with tail 1).
     """
-    coeffs = _path_sums(gf.partial_numerators, N)[:, 0]
-    if gf.argument_scale != 1.0:
-        coeffs = coeffs * gf.argument_scale ** np.arange(N + 1)
-    return coeffs
+    return _path_sums(gf.partial_numerators, N)[:, 0]
 
 
 def ratio_eval(variant: RatioVariant, p: ParamSet, z: complex) -> complex:
     """The full shifted ratio z*Phi[...]/Phi[a,b;c;q,z] at a point.
 
-    For |z| < 0.9 the quotient of the two direct series; beyond, the
-    g-fraction: z F for SHIFT_BC (plain-z form) and SHIFT_A, and
+    For |z| < 0.9 the quotient of the two Heine series; beyond, the
+    g-fraction: z F(z/q) for SHIFT_BC, z F(z) for SHIFT_A, and
     z T/(1 - p_1 z T) for SHIFT_ALL, with T the tail of SHIFT_A's fraction
-    after p_1.  The two routes agree on the overlap, and every variant
-    evaluates for all a and b.
+    after p_1.  Where the fraction's argument lies on its cut but |z| < 1
+    (SHIFT_BC's real segment [q, 1), and the 1e-12 band below z = 1), the
+    series quotient serves; for |z| >= 1 the CutError stands.  The routes
+    agree on the overlap, and every variant evaluates for all a and b.
     """
     require_finite(z=z)
     z = complex(z)
     if z == 0:
         return 0.0 + 0.0j
-    if abs(z) < _SERIES_FRACTION_SPLIT:
-        num = ParamSet(*variant.shift(p.a, p.b, p.c, p.q), p.q)
-        return z * (heine_phi(num, z, 1e-14).value / heine_phi(p, z, 1e-14).value)
+    if abs(z) >= _SERIES_FRACTION_SPLIT:
+        try:
+            return _ratio_by_fraction(variant, p, z)
+        except CutError:
+            if abs(z) >= 1.0:
+                raise
+    num = ParamSet(*variant.shift(p.a, p.b, p.c, p.q), p.q)
+    return z * (heine_phi(num, z, 1e-14).value / heine_phi(p, z, 1e-14).value)
+
+
+def _ratio_by_fraction(variant: RatioVariant, p: ParamSet, z: complex) -> complex:
+    """ratio_eval's fraction route."""
     if variant is RatioVariant.SHIFT_BC:
-        return z * gfraction_eval(gfraction_coeffs(variant, p, 512, argument="z"), z).value
+        return z * gfraction_eval(gfraction_coeffs(variant, p, 512), z * (1.0 / p.q)).value
     gf = gfraction_coeffs(RatioVariant.SHIFT_A, p, 512)
     if variant is RatioVariant.SHIFT_A:
         return z * gfraction_eval(gf, z).value
-    tail = replace(gf, partial_numerators=gf.partial_numerators[1:])
-    zt = z * gfraction_eval(tail, z).value
+    zt = z * gfraction_eval(GFraction(gf.g, gf.partial_numerators[1:]), z).value
     t = 1.0 - gf.partial_numerators[0] * zt
     if t == 0:
         raise DenominatorZero(f"fraction denominator vanished at depth 1 for w={z}")

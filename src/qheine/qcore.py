@@ -81,15 +81,6 @@ class ParamSet:
                     f"c={self.c} equals q^-{m}; denominator (1-c q^{m}) vanishes"
                 )
 
-    def shifted(self, *, a=None, b=None, c=None):
-        """Copy with some of a, b, c replaced (q never changes)."""
-        return ParamSet(
-            self.a if a is None else a,
-            self.b if b is None else b,
-            self.c if c is None else c,
-            self.q,
-        )
-
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -105,10 +96,6 @@ class PowerSeries:
     """Finite coefficient list A_0..A_N of a function analytic at 0."""
 
     coeffs: np.ndarray
-
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, z: complex) -> complex:
         acc = 0j

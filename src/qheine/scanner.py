@@ -221,12 +221,14 @@ def records_to_csv(records: Sequence[ScanRecord]) -> str:
 def soundness_violations(records: Sequence[ScanRecord]) -> list:
     """Records where a passing hypothesis met an empirical failure.
 
-    The underlying theorems guarantee the empirical outcome, so any such
+    Either fraction hypothesis (theorem 1 or 2) guarantees every ratio map
+    the scan tests at that point, and the kq route guarantees the kq
+    test.  The theorems guarantee the empirical outcome, so any such
     record is a counterexample to the implementation, never to the grid.
     """
     bad = []
     for r in records:
-        if r.hyp_thm1 and r.empirical_vconvex is False:
+        if (r.hyp_thm1 or r.hyp_thm2) and r.empirical_vconvex is False:
             bad.append(r)
         elif r.kq_route != "none" and r.empirical_kq is False:
             bad.append(r)

@@ -94,8 +94,8 @@ def test_criterion_02_fraction_vs_series_oracle():
         for p in sample_hypothesis_passing(rng, 50, variant):
             gf = gfraction_coeffs(A if variant is ALL else variant, p, 512)
             scale = p.q if variant is BC else 1.0
-            num_p = (p.shifted(b=p.b * p.q, c=p.c * p.q) if variant is BC
-                     else p.shifted(a=p.a * p.q))
+            num_p = (ParamSet(p.a, p.b * p.q, p.c * p.q, p.q) if variant is BC
+                     else ParamSet(p.a * p.q, p.b, p.c, p.q))
             count = 0
             while count < 20:
                 z = complex(sample_disk(rng, 1, 0.8)[0])
@@ -275,9 +275,9 @@ def test_criterion_10_scanner_soundness():
                     c=Range(0.05, 0.93, 12), q=Range(0.1, 0.9, 12))
     records = scan(grid, threads=1)
     csv1 = records_to_csv(records)
-    csv2 = records_to_csv(scan(grid, threads=1))
+    csv2 = records_to_csv(scan(grid, threads=2))
     violations = soundness_violations(records)
     ok = not violations and csv1 == csv2
     _report(10, ok, f"12^4 sweep: {len(records)} records, "
                     f"{len(violations)} soundness violations (0 allowed), "
-                    f"byte-identical across two runs: {csv1 == csv2}")
+                    f"byte-identical at 1 and 2 workers: {csv1 == csv2}")

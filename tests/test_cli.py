@@ -96,6 +96,16 @@ class TestGFractionAndMoments:
         assert len(payload["partial_numerators"]) == 7
         assert payload["argument_scale"] == 1.0
 
+    def test_gfraction_plain_z_scale(self, capsys):
+        args = ("gfraction", "--variant", "shift_bc", "-a", "0.9", "-b", "0.7",
+                "-c", "0.6", "-q", "0.8", "-N", "8")
+        _, qz, _ = run_json(capsys, *args, "--argument", "qz")
+        rc, z, _ = run_json(capsys, *args, "--argument", "z")
+        assert rc == 0
+        assert z["argument_scale"] == 1.0 / 0.8
+        assert z["g"] == qz["g"]
+        assert z["partial_numerators"] == qz["partial_numerators"]
+
     def test_moments_pass(self, capsys):
         rc, payload, _ = run_json(capsys, "moments", "--variant", "shift_a",
                                   "-a", "0.99", "-b", "0.998", "-c", "0.98",

@@ -164,14 +164,6 @@ class TestGFractionCoeffs:
         assert gf.g[0] == 0.0
         assert gf.g[1] == pytest.approx(0.75, rel=1e-14)
         assert gf.g[2] == pytest.approx(0.08 / 0.52, rel=1e-14)
-        assert gf.argument_scale == 1.0
-
-    def test_bc_z_form_scale(self, p_bc):
-        gf = gfraction_coeffs(BC, p_bc, 12, argument="z")
-        assert gf.argument_scale == pytest.approx(1.0 / p_bc.q)
-        np.testing.assert_array_equal(
-            gf.partial_numerators,
-            gfraction_coeffs(BC, p_bc, 12).partial_numerators)
 
     def test_a_g0(self, p_a):
         gf = gfraction_coeffs(A, p_a, 12)
@@ -203,14 +195,14 @@ class TestGFractionCoeffs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             m = ratio_moments(variant, p, 9).m
-            raw_cfrac_coeffs(variant, p.shifted(c=0.3), 9)
-            gfraction_coeffs(variant, p.shifted(c=0.3), 9)
+            raw_cfrac_coeffs(variant, ParamSet(p.a, p.b, 0.3, p.q), 9)
+            gfraction_coeffs(variant, ParamSet(p.a, p.b, 0.3, p.q), 9)
         assert m[0] == 1.0 and np.all(np.isfinite(m))
 
 
 class TestGFractionEval:
-    def test_all_zero_coefficients(self, p_a):
-        gf = GFraction(A, p_a, np.zeros(6), np.zeros(5), 1.0)
+    def test_all_zero_coefficients(self):
+        gf = GFraction(np.zeros(6), np.zeros(5))
         assert gfraction_eval(gf, 0.5 + 0.2j).value == 1.0
 
     def test_at_zero(self, p_a):
@@ -220,24 +212,24 @@ class TestGFractionEval:
     def test_shift_a_against_series_ratio(self, p_a):
         gf = gfraction_coeffs(A, p_a, 512)
         got = gfraction_eval(gf, 0.5).value
-        want = series_ratio(p_a.shifted(a=p_a.a * p_a.q), p_a, 0.5)
+        want = series_ratio(ParamSet(p_a.a * p_a.q, p_a.b, p_a.c, p_a.q), p_a, 0.5)
         assert abs(got - want) < 1e-10
 
     def test_bc_qz_form_against_series_ratio(self, p_bc):
         gf = gfraction_coeffs(BC, p_bc, 512)
         for z in (0.4, -0.7, 0.5 + 0.5j):
             got = gfraction_eval(gf, z).value
-            want = series_ratio(p_bc.shifted(b=p_bc.b * p_bc.q, c=p_bc.c * p_bc.q),
+            want = series_ratio(ParamSet(p_bc.a, p_bc.b * p_bc.q, p_bc.c * p_bc.q, p_bc.q),
                                 p_bc, z, scale=p_bc.q)
             assert abs(got - want) < 1e-11 * max(1.0, abs(want))
 
     def test_cut_error(self, p_bc):
-        gf_qz = gfraction_coeffs(BC, p_bc, 64)
+        gf = gfraction_coeffs(BC, p_bc, 64)
         with pytest.raises(CutError):
-            gfraction_eval(gf_qz, 1.2)
-        gf_z = gfraction_coeffs(BC, p_bc, 64, argument="z")
+            gfraction_eval(gf, 1.2)
+        # z = q + 0.05 in the ratio's own variable is qz = (q + 0.05)/q
         with pytest.raises(CutError):
-            gfraction_eval(gf_z, p_bc.q + 0.05)
+            gfraction_eval(gf, (p_bc.q + 0.05) / p_bc.q)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.1, -math.inf)])
     def test_non_finite_z_rejected(self, p_a, bad):
@@ -247,9 +239,9 @@ class TestGFractionEval:
             with pytest.raises(DomainError, match="finite"):
                 ratio_eval(variant, p_a, bad)
 
-    def test_zero_denominator_raises(self, p_a):
+    def test_zero_denominator_raises(self):
         # 1 - 2 * 0.5 / 1 = 0 at the only level; this used to return ~1e300
-        gf = GFraction(A, p_a, np.zeros(2), np.array([2.0]))
+        gf = GFraction(np.zeros(2), np.array([2.0]))
         with pytest.raises(DenominatorZero, match="depth 1"):
             gfraction_eval(gf, 0.5)
 
@@ -282,8 +274,7 @@ class TestRatioEval:
         # the series route is the direct quotient of the two series
         z = 0.3
         got = ratio_eval(ALL, p_t1, z)
-        shifted = p_t1.shifted(a=p_t1.a * p_t1.q, b=p_t1.b * p_t1.q,
-                               c=p_t1.c * p_t1.q)
+        shifted = ParamSet(p_t1.a * p_t1.q, p_t1.b * p_t1.q, p_t1.c * p_t1.q, p_t1.q)
         want = z * series_ratio(shifted, p_t1, z)
         assert abs(got - want) < 1e-12
 
@@ -296,11 +287,11 @@ class TestRatioEval:
         for theta in (0.7, 2.0, 3.1, 4.5):
             z = 0.92 * np.exp(1j * theta)
             got = ratio_eval(BC, p_bc, z)
-            want = z * series_ratio(p_bc.shifted(b=p_bc.b * p_bc.q, c=p_bc.c * p_bc.q),
+            want = z * series_ratio(ParamSet(p_bc.a, p_bc.b * p_bc.q, p_bc.c * p_bc.q, p_bc.q),
                                     p_bc, z)
             assert abs(got - want) < 1e-9 * max(1.0, abs(want))
             got = ratio_eval(A, p_a, z)
-            want = z * series_ratio(p_a.shifted(a=p_a.a * p_a.q), p_a, z)
+            want = z * series_ratio(ParamSet(p_a.a * p_a.q, p_a.b, p_a.c, p_a.q), p_a, z)
             assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
     @staticmethod
@@ -333,8 +324,33 @@ class TestRatioEval:
             want = (1 - p.c) / (p.a * (1 - p.b)) * (ratio_eval(A, p, z) / z - 1.0)
             assert abs(got - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("abcq", [(0.9, 0.7, 0.6, 0.8), (0.5, 0.4, 0.2, 0.6)])
+    @pytest.mark.parametrize("z", [0.9, 0.95, 0.99, 0.999])
+    def test_shift_bc_on_real_segment(self, abcq, z):
+        # [q, 1) is the cut of the fraction in z/q, not of the ratio; the
+        # reference takes both series through Heine's transformation
+        # Phi[a,b;c;q,z] = (b,az;q)_inf/(c,z;q)_inf Phi[c/b,z;az;q,b], whose
+        # sums converge like b^n, where the direct ones need 10^5 terms at 0.999
+        with mpmath.workdps(40):
+            a, b, c, q, w = (mpmath.mpf(x) for x in (*abcq, z))
+            want = complex(w * (1 - c) / (1 - b)
+                           * mpmath.qhyper([c / b, w], [a * w], q, b * q, maxterms=10**6)
+                           / mpmath.qhyper([c / b, w], [a * w], q, b, maxterms=10**6))
+        got = ratio_eval(BC, ParamSet(*abcq), z)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_limits_below_one_and_cut_beyond(self):
+        a, b, c, q = 0.9, 0.7, 0.6, 0.8
+        p = ParamSet(a, b, c, q)
+        limits = {BC: (1 - c) / (1 - b), A: 1 / (1 - a), ALL: (1 - c) / ((1 - a) * (1 - b))}
+        for variant, limit in limits.items():
+            assert abs(ratio_eval(variant, p, 1 - 1e-13) - limit) < 1e-9
+            with pytest.raises(CutError):
+                ratio_eval(variant, p, 1.5)
+
     def test_shift_bc_and_a_unchanged(self):
-        # bit for bit the direct quotient (|z| < 0.9) and z F (beyond)
+        # bit for bit the direct quotient (|z| < 0.9) and z F (beyond), the
+        # SHIFT_BC fraction taken in its normalised variable at z/q
         rng = np.random.default_rng(10)
         for variant in (BC, A):
             for p in sample_hypothesis_passing(rng, 6, variant, q_max=0.9):
@@ -344,8 +360,8 @@ class TestRatioEval:
                     if abs(z) < 0.9:
                         want = self.quotient(variant, p, z)
                     else:
-                        arg = "z" if variant is BC else "qz"
-                        want = z * gfraction_eval(gfraction_coeffs(variant, p, 512, arg), z).value
+                        w = z * (1.0 / p.q) if variant is BC else z
+                        want = z * gfraction_eval(gfraction_coeffs(variant, p, 512), w).value
                     assert ratio_eval(variant, p, z) == want
 
 
@@ -375,7 +391,7 @@ class TestRatioMoments:
             return (brute_pochhammer(p.a, q, n) * brute_pochhammer(p.b, q, n)
                     / (brute_pochhammer(p.c, q, n) * brute_pochhammer(q, q, n)))
 
-        num_p = p_bc.shifted(b=p_bc.b * q, c=p_bc.c * q)
+        num_p = ParamSet(p_bc.a, p_bc.b * q, p_bc.c * q, q)
         num = np.array([coeff(num_p, n) * q**n for n in range(N + 1)])
         den = np.array([coeff(p_bc, n) * q**n for n in range(N + 1)])
         want = np.zeros(N + 1)
@@ -392,11 +408,11 @@ class TestRatioMoments:
         # the same moment construction at a -> aq gives the coefficients of
         # Phi[aq,bq;cq;q,qz]/Phi[aq,b;c;q,qz]
         q = p_bc.q
-        p_shift = p_bc.shifted(a=p_bc.a * q)
+        p_shift = ParamSet(p_bc.a * q, p_bc.b, p_bc.c, q)
         ms = ratio_moments(BC, p_shift, 30)
         z = 0.35
         want = series_ratio(
-            p_bc.shifted(a=p_bc.a * q, b=p_bc.b * q, c=p_bc.c * q),
+            ParamSet(p_bc.a * q, p_bc.b * q, p_bc.c * q, q),
             p_shift, z, scale=q)
         got = sum(m * z**k for k, m in enumerate(ms.m))
         assert abs(got - want) < 1e-12
@@ -523,9 +539,21 @@ class TestGFractionSeries:
                                    ratio_moments(BC, p_bc, 9).m, atol=1e-12)
 
     def test_z_form_rescales(self, p_bc):
-        gf_z = gfraction_coeffs(BC, p_bc, 64, argument="z")
-        got = gfraction_series(gf_z, 8)
-        want = ratio_moments(BC, p_bc, 8).m / p_bc.q ** np.arange(9)
+        # the qz fraction's coefficients scaled by q^-n are those of the plain-z
+        # ratio Phi[a,bq;cq;q,z]/Phi[a,b;c;q,z], here by long division
+        from test_qcore import brute_pochhammer
+        a, b, c, q = p_bc.a, p_bc.b, p_bc.c, p_bc.q
+
+        def coeffs(a, b, c):
+            return np.array([brute_pochhammer(a, q, n) * brute_pochhammer(b, q, n)
+                             / (brute_pochhammer(c, q, n) * brute_pochhammer(q, q, n))
+                             for n in range(9)])
+
+        num, den = coeffs(a, b * q, c * q), coeffs(a, b, c)
+        want = np.zeros(9)
+        for n in range(9):
+            want[n] = num[n] - np.dot(den[1 : n + 1], want[n - 1 :: -1][:n])
+        got = gfraction_series(gfraction_coeffs(BC, p_bc, 64), 8) / q ** np.arange(9)
         np.testing.assert_allclose(got, want, rtol=1e-11)
 
     def test_mixed_signs(self):
@@ -601,8 +629,8 @@ class TestOracleEquivalenceProperty:
             for p in sample_hypothesis_passing(rng, 8, variant, q_max=0.9):
                 gf = gfraction_coeffs(variant, p, 512)
                 scale = p.q if variant is BC else 1.0
-                num = (p.shifted(b=p.b * p.q, c=p.c * p.q) if variant is BC
-                       else p.shifted(a=p.a * p.q))
+                num = (ParamSet(p.a, p.b * p.q, p.c * p.q, p.q) if variant is BC
+                       else ParamSet(p.a * p.q, p.b, p.c, p.q))
                 for z in sample_disk(rng, 5, 0.8):
                     if abs(z.imag) < 1e-3 and z.real > 0.5:
                         continue

@@ -102,6 +102,12 @@ class TestScan:
         # sufficient-not-necessary: some hypothesis-false points pass anyway
         assert any((not r.hyp_thm1) and r.empirical_vconvex for r in records)
 
+    def test_soundness_covers_theorem_2(self):
+        # the scan tests the shift_a maps under hyp_thm2 as well
+        rec = ScanRecord(0.05, 0.05, 0.05, 0.9, False, True, "none", None,
+                         False, None, ())
+        assert soundness_violations([rec]) == [rec]
+
 
 class TestCsv:
     def test_header_and_cells(self):
