@@ -38,6 +38,8 @@ _ADAPTIVE_TOL = 1e-13
 _MAX_COEFFS = 1 << 20
 _KQ_SLACK = 1e-10
 _BN_SLACK = 1e-13
+MIN_CURVE_SAMPLES = 256
+MIN_BN_N = 2
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +222,13 @@ class KqGrid:
     n_angles: int = 64
     r_max: float = 0.99
 
+    def __post_init__(self):
+        if self.n_radii < 1 or self.n_angles < 1:
+            raise DomainError(f"n_radii and n_angles must be >= 1, got "
+                              f"{self.n_radii} and {self.n_angles}")
+        if not 0.0 < self.r_max < 1.0:
+            raise DomainError(f"r_max must lie in (0,1), got {self.r_max}")
+
 
 def t1_threshold(a: float, b: float, q: float) -> float:
     """min{ab, ab + E/(2(1-q)), ab + E/(1-q) + F/(1-q)} with
@@ -274,8 +283,8 @@ def bn_sequence(p: ParamSet, N: int) -> SequenceClass:
     when 1 <= B_2 <= ... <= B_N <= 2 (both with 1e-13 slack since the
     chains are non-strict), else NEITHER.  B_1 = 1 exactly.
     """
-    if N < 2:
-        raise DomainError(f"N must be >= 2, got {N}")
+    if N < MIN_BN_N:
+        raise DomainError(f"N must be >= {MIN_BN_N}, got {N}")
     A = heine_coeffs(p, N - 1).coeffs
     n = np.arange(1, N + 1)
     B = A * (1.0 - p.q**n) / (1.0 - p.q)
@@ -334,8 +343,8 @@ def boundary_curve(curve_map: CurveMap, r: float, M: int) -> BoundaryCurve:
     """Sample the image of |z| = r at M uniformly spaced angles."""
     if not 0.0 < r < 1.0:
         raise DomainError(f"r must lie in (0,1), got {r}")
-    if M < 256:
-        raise DomainError(f"M must be >= 256, got {M}")
+    if M < MIN_CURVE_SAMPLES:
+        raise DomainError(f"M must be >= {MIN_CURVE_SAMPLES}, got {M}")
     return BoundaryCurve(r, curve_map.sample_circle(r, M))
 
 

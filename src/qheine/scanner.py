@@ -20,6 +20,8 @@ import numpy as np
 from .errors import CapExceeded, DomainError, QHeineError
 from .gfrac import RatioVariant, hypothesis_check
 from .geomtest import (
+    MIN_BN_N,
+    MIN_CURVE_SAMPLES,
     KqGrid,
     bn_sequence,
     boundary_curve,
@@ -30,7 +32,7 @@ from .geomtest import (
     map_shift_bc,
     vertical_convexity_check,
 )
-from .qcore import ParamSet
+from .qcore import ParamSet, require_finite
 
 ENV_THREADS = "QHEINE_THREADS"
 
@@ -44,6 +46,7 @@ class Range:
     steps: int
 
     def __post_init__(self):
+        require_finite(lo=self.lo, hi=self.hi)
         if self.steps < 1:
             raise DomainError(f"steps must be >= 1, got {self.steps}")
         if self.hi < self.lo:
@@ -71,6 +74,17 @@ class GridSpec:
     kq_rmax: float = 0.99
     bn_n: int = 100
     cap: int = 100_000
+
+    def __post_init__(self):
+        # the bounds the tests enforce per point, checked once for the sweep
+        KqGrid(self.kq_radii, self.kq_angles, self.kq_rmax)
+        if not 0.0 < self.curve_r < 1.0:
+            raise DomainError(f"curve_r must lie in (0,1), got {self.curve_r}")
+        if self.curve_samples < MIN_CURVE_SAMPLES:
+            raise DomainError(f"curve_samples must be >= {MIN_CURVE_SAMPLES}, "
+                              f"got {self.curve_samples}")
+        if self.bn_n < MIN_BN_N:
+            raise DomainError(f"bn_n must be >= {MIN_BN_N}, got {self.bn_n}")
 
     def total_points(self) -> int:
         return self.a.steps * self.b.steps * self.c.steps * self.q.steps

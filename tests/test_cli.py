@@ -161,6 +161,16 @@ class TestKq:
         assert rc == 1
         assert payload["pass"] is False
 
+    @pytest.mark.parametrize("flag", ["--radii=0", "--angles=0", "--r-max=1.5", "--r-max=-0.5"])
+    def test_bad_grid_exit_2(self, capsys, flag):
+        # the grid is checked before any sampling; outside the unit disk
+        # there is nothing to pass
+        rc, out, err = run_cli(capsys, "kq", "-a", "0.5", "-b", "0.5",
+                               "-c", "0.2", "-q", "0.5", flag)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("DomainError")
+
 
 class TestBoundaryAndFigures:
     def test_csv_format_and_determinism(self, capsys, tmp_path):
@@ -299,6 +309,19 @@ class TestScan:
         rc = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert entry.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["kq.radii=0", "kq.angles=0", "kq.rmax=1.5",
+                                       "curve.r=1.5", "curve.samples=100", "bn.n=1",
+                                       "a.min=nan", "q.max=inf"])
+    def test_out_of_domain_value_exit_2(self, capsys, tmp_path, entry):
+        # rejected at load, before any point gets a per-test error note
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SCAN_CFG + entry + "\n")  # the later entry wins
+        out = tmp_path / "o.csv"
+        rc = main(["scan", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("DomainError")
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -1,3 +1,4 @@
+import cmath
 import decimal
 import math
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_disk, sample_hypothesis_passing
@@ -14,6 +15,7 @@ from qheine.errors import (
     CutError,
     DenominatorZero,
     DomainError,
+    InconsistentCoefficients,
     NoConvergence,
 )
 from qheine.gfrac import (
@@ -88,6 +90,29 @@ def mp_numerators(variant, p, K):
         if variant is BC:
             return [(1 - g(k)) * g(k + 1) for k in range(1, K + 1)]
         return [(1 - g(k - 1)) * g(k) for k in range(1, K + 1)]
+
+
+def mp_ratio(variant, p, z, dps=40):
+    """Independent oracle: z Phi[num]/Phi[p], both series summed directly
+    at dps digits.  A sum stops once q^k max(1, |a|, |b|, |c|) < 1e-3,
+    past which its terms fall about like |z|^k, and a term is below 1e-20
+    of the sum times 1 - |z|.  Digits the sums cancel come out of dps."""
+    with mpmath.workdps(dps):
+        a, b, c, q = (mpmath.mpf(x) for x in (p.a, p.b, p.c, p.q))
+        w = mpmath.mpc(z)
+        tol = mpmath.mpf(1e-20) * (1 - abs(w))
+        big = max(1, abs(a), abs(b), abs(c))
+
+        def phi(a, b, c):
+            total, term, qk = mpmath.mpc(0), mpmath.mpc(1), mpmath.mpf(1)
+            while qk * big >= 1e-3 or abs(term) > tol * abs(total):
+                total += term
+                term *= (1 - a * qk) * (1 - b * qk) / ((1 - c * qk) * (1 - q * qk)) * w
+                qk *= q
+            return total
+
+        num = {BC: (a, b * q, c * q), A: (a * q, b, c), ALL: (a * q, b * q, c * q)}[variant]
+        return complex(w * phi(*num) / phi(a, b, c))
 
 
 class TestHypothesisCheck:
@@ -271,7 +296,7 @@ class TestRatioEval:
         assert ratio_eval(ALL, p_a, 0.0) == 0.0
 
     def test_shift_all_identity_route(self, p_t1):
-        # the series route is the direct quotient of the two series
+        # the fraction agrees with the direct quotient of the two series
         z = 0.3
         got = ratio_eval(ALL, p_t1, z)
         shifted = ParamSet(p_t1.a * p_t1.q, p_t1.b * p_t1.q, p_t1.c * p_t1.q, p_t1.q)
@@ -283,7 +308,7 @@ class TestRatioEval:
         assert abs(ratio_eval(ALL, p_t1, z) / z - 1.0) < 1e-6
 
     def test_series_fraction_overlap(self, p_bc, p_a):
-        # the fraction route (|z| >= 0.9) agrees with a pure series oracle
+        # the fraction agrees with a pure series oracle near the unit circle
         for theta in (0.7, 2.0, 3.1, 4.5):
             z = 0.92 * np.exp(1j * theta)
             got = ratio_eval(BC, p_bc, z)
@@ -312,7 +337,7 @@ class TestRatioEval:
                              ids=["a=0", "b=1"])
     @pytest.mark.parametrize("z", [0.3, 0.95j])
     def test_shift_all_at_a0_and_b1(self, p, z):
-        # the ratio is defined there, and both routes evaluate it
+        # the ratio is defined there, and the fraction evaluates it
         want = self.quotient(ALL, p, z)
         assert abs(ratio_eval(ALL, p, z) - want) <= 1e-13 * abs(want)
 
@@ -348,21 +373,64 @@ class TestRatioEval:
             with pytest.raises(CutError):
                 ratio_eval(variant, p, 1.5)
 
-    def test_shift_bc_and_a_unchanged(self):
-        # bit for bit the direct quotient (|z| < 0.9) and z F (beyond), the
-        # SHIFT_BC fraction taken in its normalised variable at z/q
+    def test_shift_bc_and_a_are_their_fraction(self):
+        # bit for bit z F at every |z|, the SHIFT_BC fraction taken in its
+        # normalised variable at z/q
         rng = np.random.default_rng(10)
         for variant in (BC, A):
             for p in sample_hypothesis_passing(rng, 6, variant, q_max=0.9):
                 for z in np.concatenate([sample_disk(rng, 3, 0.85),
                                          0.95 * np.exp(1j * rng.uniform(0.5, 5.8, 3))]):
                     z = complex(z)
-                    if abs(z) < 0.9:
-                        want = self.quotient(variant, p, z)
-                    else:
-                        w = z * (1.0 / p.q) if variant is BC else z
-                        want = z * gfraction_eval(gfraction_coeffs(variant, p, 512), w).value
+                    w = z * (1.0 / p.q) if variant is BC else z
+                    want = z * gfraction_eval(gfraction_coeffs(variant, p, 512), w).value
                     assert ratio_eval(variant, p, z) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.floats(0.01, 0.3), b=st.floats(0.01, 0.3), c=st.floats(0.01, 0.3),
+           q=st.floats(0.85, 0.95),
+           z=st.floats(2.6, 3.6).map(lambda t: 0.89 * cmath.exp(1j * t)))
+    @example(a=0.09494743134001371, b=0.0948661901894012, c=0.0948661901894012,
+             q=0.9499058755479816, z=-0.8741446085071916 + 0.16724593692466438j)
+    def test_shift_a_near_negative_axis(self, a, b, c, q, z):
+        # the two series cancel to about 15 digits near z = -0.89 with q
+        # near 1; their quotient gives -0.8053-0.1262j at the example,
+        # whose imaginary part has the wrong sign
+        p = ParamSet(a, b, c, q)
+        assume(hypothesis_check(A, p).passed)
+        want = mp_ratio(A, p, z)
+        assert abs(ratio_eval(A, p, z) - want) <= 1e-12 * abs(want)
+
+    def test_shift_all_mixed_signs(self):
+        # the two series cancel to about 37 digits, and their quotient gives
+        # -0.1145+0.1233j; the reference is 0.09703798681504207-0.20226802851110817j
+        p = ParamSet(-0.5923414184753559, -0.5560701241690127, 0.6105139820029324,
+                     0.9598384237460628)
+        z = -0.7636249085663513 - 0.08056935452446358j
+        want = mp_ratio(ALL, p, z, dps=80)
+        assert abs(ratio_eval(ALL, p, z) - want) <= 1e-12 * abs(want)
+
+    def test_inconsistent_numerators_take_the_quotient(self):
+        p = ParamSet(46.46310222978224, -3.9389467078550666, 33.88213436989983,
+                     0.8987350392181966)
+        z = -0.44132849757499676 - 0.8159064935042752j
+        with pytest.raises(InconsistentCoefficients):
+            gfraction_coeffs(BC, p, 512)
+        want = mp_ratio(BC, p, z)
+        assert abs(ratio_eval(BC, p, z) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("variant, abcq, z", [
+        (A, (-0.3198638651583203, -0.45695076038242943, 0.9040789814150445,
+             0.9942225429916476), -0.8781619198014784 - 0.08592133221438351j),
+        (ALL, (0.8256874072754101, -0.8816491684494718, 0.7832992372088634,
+               0.9983344875455945), -0.5113144607465195 + 0.24267699848571433j),
+    ], ids=["shift_a", "shift_all"])
+    def test_unsettled_fraction_raises(self, variant, abcq, z):
+        # with q this near 1 the fraction has not settled by depth 512, and
+        # the series quotient is off by 95 % to 320 % of the value here, so
+        # no value is returned
+        with pytest.raises(NoConvergence):
+            ratio_eval(variant, ParamSet(*abcq), z)
 
 
 class TestRatioMoments:
