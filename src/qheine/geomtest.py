@@ -42,6 +42,12 @@ MIN_CURVE_SAMPLES = 256
 MIN_BN_N = 2
 
 
+def require_radius(name: str, r: float):
+    """Raise DomainError unless the sampling radius r lies in (0, 1)."""
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"{name} must lie in (0,1), got {r}")
+
+
 # ---------------------------------------------------------------------------
 # series-on-circle machinery
 
@@ -226,8 +232,7 @@ class KqGrid:
         if self.n_radii < 1 or self.n_angles < 1:
             raise DomainError(f"n_radii and n_angles must be >= 1, got "
                               f"{self.n_radii} and {self.n_angles}")
-        if not 0.0 < self.r_max < 1.0:
-            raise DomainError(f"r_max must lie in (0,1), got {self.r_max}")
+        require_radius("r_max", self.r_max)
 
 
 def t1_threshold(a: float, b: float, q: float) -> float:
@@ -341,8 +346,7 @@ class BoundaryCurve:
 
 def boundary_curve(curve_map: CurveMap, r: float, M: int) -> BoundaryCurve:
     """Sample the image of |z| = r at M uniformly spaced angles."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"r must lie in (0,1), got {r}")
+    require_radius("r", r)
     if M < MIN_CURVE_SAMPLES:
         raise DomainError(f"M must be >= {MIN_CURVE_SAMPLES}, got {M}")
     return BoundaryCurve(r, curve_map.sample_circle(r, M))

@@ -30,6 +30,7 @@ from .geomtest import (
     map_shift_a,
     map_shift_all,
     map_shift_bc,
+    require_radius,
     vertical_convexity_check,
 )
 from .qcore import ParamSet, require_finite
@@ -78,8 +79,7 @@ class GridSpec:
     def __post_init__(self):
         # the bounds the tests enforce per point, checked once for the sweep
         KqGrid(self.kq_radii, self.kq_angles, self.kq_rmax)
-        if not 0.0 < self.curve_r < 1.0:
-            raise DomainError(f"curve_r must lie in (0,1), got {self.curve_r}")
+        require_radius("curve_r", self.curve_r)
         if self.curve_samples < MIN_CURVE_SAMPLES:
             raise DomainError(f"curve_samples must be >= {MIN_CURVE_SAMPLES}, "
                               f"got {self.curve_samples}")

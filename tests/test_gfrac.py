@@ -432,6 +432,30 @@ class TestRatioEval:
         with pytest.raises(NoConvergence):
             ratio_eval(variant, ParamSet(*abcq), z)
 
+    @pytest.mark.parametrize("variant, abcq, z", [
+        (A, (-0.395697739669302, 0.4323170947936408, 2.8665879186588104,
+             0.9891719997536049), 0.48341143635246947 + 0.10558696755927977j),
+        (BC, (70.1734194021574, -14.815427427229992, 77.87971303054692,
+              0.8859059513823193), 0.19841475776684628 + 0.5478289690082345j),
+        (ALL, (86.89648268005817, -35.414334564988565, 62.01497843896448,
+               0.9602625281908199), 0.11908232346885853 - 0.22836689780125005j),
+    ], ids=["shift_a", "shift_bc", "shift_all"])
+    def test_c_above_one_inside_split_takes_the_quotient(self, variant, abcq, z):
+        # with c > 1 the fraction settles here on a value off by 38 %, 23 %
+        # and 7 %; the series quotient is within 3e-14
+        p = ParamSet(*abcq)
+        want = mp_ratio(variant, p, z)
+        assert abs(ratio_eval(variant, p, z) - want) <= 1e-12 * abs(want)
+
+    def test_c_above_one_outside_split_takes_the_fraction(self):
+        # at |z| = 0.957 the series quotient is off by 170 %, the fraction
+        # is within 3e-15
+        p = ParamSet(-2.436345786719998, -3.4601312432833478, 2.9189526670580115,
+                     0.9530097990120643)
+        z = -0.891423900564246 + 0.3477066617599177j
+        want = mp_ratio(BC, p, z, dps=80)
+        assert abs(ratio_eval(BC, p, z) - want) <= 1e-12 * abs(want)
+
 
 class TestRatioMoments:
     def test_m0_is_one(self, p_bc, p_a):
