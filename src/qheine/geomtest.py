@@ -32,7 +32,8 @@ import numpy as np
 from .errors import CutError, DegenerateCurve, DomainError, NoConvergence
 from .gfrac import RatioVariant
 from .qcore import (ParamSet, gauss_coeffs, geometric_powers, heine_coeffs,
-                    heine_pole_split, log_q, q_gamma)
+                    heine_pole_split, log_q, q_gamma, require_finite,
+                    require_unit_interval)
 
 _ADAPTIVE_TOL = 1e-13
 _MAX_COEFFS = 1 << 20
@@ -40,12 +41,6 @@ _KQ_SLACK = 1e-10
 _BN_SLACK = 1e-13
 MIN_CURVE_SAMPLES = 256
 MIN_BN_N = 2
-
-
-def require_radius(name: str, r: float):
-    """Raise DomainError unless the sampling radius r lies in (0, 1)."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"{name} must lie in (0,1), got {r}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +227,7 @@ class KqGrid:
         if self.n_radii < 1 or self.n_angles < 1:
             raise DomainError(f"n_radii and n_angles must be >= 1, got "
                               f"{self.n_radii} and {self.n_angles}")
-        require_radius("r_max", self.r_max)
+        require_unit_interval(r_max=self.r_max)
 
 
 def t1_threshold(a: float, b: float, q: float) -> float:
@@ -242,8 +237,8 @@ def t1_threshold(a: float, b: float, q: float) -> float:
     Note the threshold is the minimum of the three expressions; the
     classical (q -> 1) analogue of this criterion uses a maximum.
     """
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0,1), got {q}")
+    require_finite(a=a, b=b)
+    require_unit_interval(q=q)
     ab = a * b
     e = a * q + b * q - q - 2.0 * ab + ab / q
     f = a + b - q - ab / q
@@ -346,7 +341,7 @@ class BoundaryCurve:
 
 def boundary_curve(curve_map: CurveMap, r: float, M: int) -> BoundaryCurve:
     """Sample the image of |z| = r at M uniformly spaced angles."""
-    require_radius("r", r)
+    require_unit_interval(r=r)
     if M < MIN_CURVE_SAMPLES:
         raise DomainError(f"M must be >= {MIN_CURVE_SAMPLES}, got {M}")
     return BoundaryCurve(r, curve_map.sample_circle(r, M))

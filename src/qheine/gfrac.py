@@ -39,7 +39,6 @@ from .qcore import EvalResult, ParamSet, _decimal_terms, heine_phi, require_fini
 _SERIES_FRACTION_SPLIT = 0.9
 _CUT_EPS = 1e-12
 _CROSSCHECK_TOL = 1e-13
-_MAX_DEPTH = 1 << 16
 MAX_MOMENT_ORDER = 40
 _MAX_DIGITS = 2560
 
@@ -227,10 +226,11 @@ def gfraction_eval(gf: GFraction, w: complex, tol: float = 1e-13) -> EvalResult:
     two successive depths agree within tol.  Points on the cut (w real,
     >= 1 within 1e-12) raise CutError; a denominator 1 - p_k w/(...) that
     vanishes exactly raises DenominatorZero naming its depth k; running
-    out of depth (2^16 or the stored coefficient count) raises
-    NoConvergence.
+    out of the stored numerators raises NoConvergence.
     """
     require_finite(w=w)
+    if not tol > 0.0:
+        raise DomainError("tol must be positive")
     w = complex(w)
     if abs(w.imag) < _CUT_EPS and w.real >= 1.0 - _CUT_EPS:
         raise CutError(f"w={w} lies on the fraction's cut")
@@ -247,7 +247,7 @@ def gfraction_eval(gf: GFraction, w: complex, tol: float = 1e-13) -> EvalResult:
                     f"fraction denominator vanished at depth {k + 1} for w={w}")
         return 1.0 / t
 
-    limit = min(len(p), _MAX_DEPTH)
+    limit = len(p)
     depths = [max(1, min(32, limit) // 2)] if limit <= 32 else []
     d = 32
     while d < limit:

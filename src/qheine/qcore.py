@@ -39,8 +39,6 @@ _CONSECUTIVE_SMALL = 3
 # absolute-term sum, weighted by the identity prefactor it meets, exceeds
 # this; beyond it double cancellation error would swamp residuals near 1e-13
 _ESCALATE_SCALE = 100.0
-# the escalated sums' term cap per bit of working precision, as mpmath.qhyper
-_TERMS_PER_BIT = 50
 # heine_phi's route rule: the break-even of a scalar direct sum (1.1 us a
 # term) and the uncached split (100 us + 0.14 us a term).  The array direct
 # sum costs 20-35 us + 0.1 us a term, the split 65 us at K = 181 (one core,
@@ -55,6 +53,13 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if not cmath.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+
+
+def require_unit_interval(**values) -> None:
+    """Raise DomainError naming the first argument outside (0, 1)."""
+    for name, value in values.items():
+        if not 0.0 < value < 1.0:
+            raise DomainError(f"{name} must lie in (0,1), got {value}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +77,7 @@ class ParamSet:
 
     def __post_init__(self):
         require_finite(a=self.a, b=self.b, c=self.c)
-        if not 0.0 < self.q < 1.0:
-            raise DomainError(f"q must lie in (0,1), got {self.q}")
+        require_unit_interval(q=self.q)
         if self.c >= 1.0:
             m = round(math.log(self.c) / -math.log(self.q))
             if abs(self.c * self.q**m - 1.0) < 1e-14:
@@ -110,15 +114,15 @@ def q_pochhammer(a: complex, q: float, n: Union[int, float]) -> complex:
     The infinite product is truncated once |a| q^k drops below the level
     where further factors cannot move a double.
     """
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0,1), got {q}")
+    require_finite(a=a)
+    require_unit_interval(q=q)
     if n == INFINITY:
         if a == 0:
             return 1.0
         k_max = max(1, int(math.log(_INF_PRODUCT_EPS / abs(a)) / math.log(q)) + 2)
         factors = 1.0 - a * geometric_powers(q, k_max)
     else:
-        if n < 0 or n != int(n):
+        if not n >= 0 or n != int(n):
             raise DomainError(f"n must be a nonnegative integer or INFINITY, got {n}")
         n = int(n)
         if n == 0:
@@ -326,6 +330,8 @@ def gauss_f(a: float, b: float, c: float, z: complex,
 
 def gauss_coeffs(a: float, b: float, c: float, N: int) -> PowerSeries:
     """Coefficients (a)_n (b)_n / ((c)_n n!) for n = 0..N."""
+    if N < 0:
+        raise DomainError(f"N must be >= 0, got {N}")
     if c <= 0.0 and c == int(c):
         raise DomainError(f"c must not be a nonpositive integer, got {c}")
     return PowerSeries(np.concatenate([[1.0], np.cumprod(_gauss_ratios(a, b, c, N))]))
@@ -340,8 +346,7 @@ def q_diff(f: Union[PowerSeries, Callable[[complex], complex]], q: float,
     the exact first coefficient.  A plain callable at z = 0 is approximated
     by a Richardson-extrapolated quotient at a small radius.
     """
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0,1), got {q}")
+    require_unit_interval(q=q)
     if isinstance(f, PowerSeries):
         n = np.arange(1, len(f.coeffs))
         return complex(PowerSeries(f.coeffs[1:] * ((1.0 - q**n) / (1.0 - q)))(z))
@@ -355,10 +360,10 @@ def q_diff(f: Union[PowerSeries, Callable[[complex], complex]], q: float,
 
 def q_gamma(x: float, q: float) -> float:
     """Jackson's q-Gamma: (q;q)_inf (1-q)^(1-x) / (q^x;q)_inf, x > 0."""
+    require_finite(x=x)
     if x <= 0.0:
         raise DomainError(f"q_gamma requires x > 0, got {x}")
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0,1), got {q}")
+    require_unit_interval(q=q)
     num = q_pochhammer(q, q, INFINITY)
     den = q_pochhammer(q**x, q, INFINITY)
     return float(num / den * (1.0 - q) ** (1.0 - x))
@@ -366,10 +371,10 @@ def q_gamma(x: float, q: float) -> float:
 
 def log_q(u: float, q: float) -> float:
     """log base q, defined for u > 0."""
+    require_finite(u=u)
     if u <= 0.0:
         raise DomainError(f"log_q requires u > 0, got {u}")
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0,1), got {q}")
+    require_unit_interval(q=q)
     return math.log(u) / math.log(q)
 
 
@@ -423,17 +428,17 @@ def _decimal_terms(a, b, c, q, x, y):
         tr, ti = r * (tr * x - ti * y), r * (tr * y + ti * x)
 
 
-def _decimal_phi(a, b, c, q, x, y, digits, cap):
+def _decimal_phi(a, b, c, q, x, y, digits):
     """Phi[a,b;c;q,x+iy] from Decimal inputs, as Decimal (real, imaginary).
 
     Sums the _decimal_terms until |t_n| < 10^-digits |sum| holds
-    _CONSECUTIVE_SMALL times in a row; raises NoConvergence after cap terms
-    beyond t_0.
+    _CONSECUTIVE_SMALL times in a row; raises NoConvergence after MAX_TERMS
+    terms beyond t_0.
     """
     tiny2 = decimal.Decimal(10) ** (-2 * digits)
     sr = si = decimal.Decimal(0)
     small_run = 0
-    for tr, ti in itertools.islice(_decimal_terms(a, b, c, q, x, y), cap + 1):
+    for tr, ti in itertools.islice(_decimal_terms(a, b, c, q, x, y), MAX_TERMS + 1):
         sr += tr
         si += ti
         if tr * tr + ti * ti < tiny2 * (sr * sr + si * si):
@@ -442,24 +447,22 @@ def _decimal_phi(a, b, c, q, x, y, digits, cap):
                 return sr, si
         else:
             small_run = 0
-    raise NoConvergence(f"decimal series did not settle within {cap} terms")
+    raise NoConvergence(f"decimal series did not settle within {MAX_TERMS} terms")
 
 
 def _identity_residuals_mp(a, b, c, q, z, scale):
     """The four residuals at dps = 25 + log10(scale) digits.
 
     The six series are summed by _decimal_phi at dps + 5 digits from the
-    exact decimal values of the doubles a, b, c, q and z, with the term
-    cap mpmath.qhyper has at dps digits, and the
-    relations are formed from those sums at the same precision.
+    exact decimal values of the doubles a, b, c, q and z, each stopping at
+    MAX_TERMS like the double sums, and the relations are formed from those
+    sums at the same precision.
     """
     dps = 25 + max(0, int(math.log10(scale)))
     digits = dps + 5
-    # mpmath's dps_to_prec, equal to mp.prec for dps 1-399
-    cap = _TERMS_PER_BIT * round((dps + 1) * 3.3219280948873626)
     with decimal.localcontext(decimal.Context(prec=digits)):
         ad, bd, cd, qd, x, y = map(decimal.Decimal, (a, b, c, q, z.real, z.imag))
-        sums = [_decimal_phi(a1, b1, c1, qd, s * x, s * y, digits, cap)
+        sums = [_decimal_phi(a1, b1, c1, qd, s * x, s * y, digits)
                 for a1, b1, c1, s in _identity_series(ad, bd, cd, qd)]
         return _identity_residuals(sums, ad, bd, cd, qd, (x, y))
 
@@ -474,8 +477,8 @@ def verify_identities(p: ParamSet, z: complex, tol: float = DEFAULT_TOL) -> dict
     the series are then summed again in stdlib decimal at
     dps + 5 digits, dps = 25 + log10(scale), and the residuals formed from
     those sums at the same precision (_identity_residuals_mp), so the
-    report reflects the identities, not roundoff.  That sum raises
-    NoConvergence past qhyper's cap, 50 terms per bit (4 800 at 28 digits).
+    report reflects the identities, not roundoff.  Each sum, double or
+    decimal, raises NoConvergence after MAX_TERMS terms.
     """
     require_finite(z=z)
     z = complex(z)

@@ -30,10 +30,9 @@ from .geomtest import (
     map_shift_a,
     map_shift_all,
     map_shift_bc,
-    require_radius,
     vertical_convexity_check,
 )
-from .qcore import ParamSet, require_finite
+from .qcore import ParamSet, require_finite, require_unit_interval
 
 ENV_THREADS = "QHEINE_THREADS"
 
@@ -79,7 +78,7 @@ class GridSpec:
     def __post_init__(self):
         # the bounds the tests enforce per point, checked once for the sweep
         KqGrid(self.kq_radii, self.kq_angles, self.kq_rmax)
-        require_radius("curve_r", self.curve_r)
+        require_unit_interval(curve_r=self.curve_r)
         if self.curve_samples < MIN_CURVE_SAMPLES:
             raise DomainError(f"curve_samples must be >= {MIN_CURVE_SAMPLES}, "
                               f"got {self.curve_samples}")

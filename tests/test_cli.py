@@ -78,10 +78,17 @@ class TestIdentities:
         assert rc == 1
         assert payload["pass"] is False
 
+    def test_escalation_near_unit_circle_passes(self, capsys):
+        # the decimal sums need about 7 500 terms here
+        rc, payload, _ = run_json(capsys, "identities", "-a", "0.2", "-b", "0.3",
+                                  "-c", "0.93", "-q", "0.88", "-z", "0.99")
+        assert rc == 0
+        assert payload["pass"] is True
+
     def test_escalation_past_its_term_cap_exit_2(self, capsys):
-        # the decimal sums need about 7 500 terms here, past their cap
+        # the decimal sums do not settle within MAX_TERMS terms here
         rc, _, err = run_cli(capsys, "identities", "-a", "0.2", "-b", "0.3",
-                             "-c", "0.93", "-q", "0.88", "-z", "0.99")
+                             "-c", "0.93", "-q", "0.88", "-z=-0.999")
         assert rc == 2
         assert err.startswith("NoConvergence")
 

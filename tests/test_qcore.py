@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qheine import qcore
+from qheine import geomtest, gfrac, qcore
 from qheine.errors import DomainError, NoConvergence
 from qheine.qcore import (
     INFINITY,
@@ -632,7 +632,7 @@ class TestIdentityEscalation:
         with qcore.decimal.localcontext(qcore.decimal.Context(prec=digits)):
             a, b, c, q = map(D, abcq)
             x, y = D(z.real), D(z.imag)
-            sums = [qcore._decimal_phi(a1, b1, c1, q, s * x, s * y, digits, 10**4)
+            sums = [qcore._decimal_phi(a1, b1, c1, q, s * x, s * y, digits)
                     for a1, b1, c1, s in qcore._identity_series(a, b, c, q)]
         with mpmath.workdps(40):
             a, b, c, q = (mpmath.mpf(v) for v in abcq)
@@ -664,26 +664,50 @@ class TestIdentityEscalation:
             dps = 25 + max(0, int(math.log10(scale)))
             assert max(abs(r) for r in residuals) <= scale * 10.0**-dps
 
-    def test_term_cap_is_qhyper_cap(self, monkeypatch):
-        caps = []
-        real = qcore._decimal_phi
+    @pytest.mark.parametrize("z", [0.99, 0.99j])
+    def test_near_unit_circle_settles(self, z):
+        # the decimal sums need about 7 500 terms at z = 0.99
+        res = verify_identities(ParamSet(*self.HEAVY[0]), z)
+        assert all(v < 1e-20 for v in res.values())
 
-        def spy(*args):
-            caps.append((args[-2], args[-1]))
-            return real(*args)
-
-        monkeypatch.setattr(qcore, "_decimal_phi", spy)
-        verify_identities(ParamSet(*self.HEAVY[0]), self.HEAVY[1])
-        digits, cap = caps[0]
-        with mpmath.workdps(digits - 5):
-            assert cap == qcore._TERMS_PER_BIT * mpmath.mp.prec
-
-    def test_term_cap_raises(self, monkeypatch):
-        # about 7 500 terms are needed at z = 0.99; qhyper's cap is 6 000 here
-        with pytest.raises(NoConvergence):
-            verify_identities(ParamSet(*self.HEAVY[0]), 0.99)
-        # one term per bit (about 100) cannot sum the heavy set at z = 0.8
-        verify_identities(ParamSet(*self.HEAVY[0]), 0.8)
-        monkeypatch.setattr(qcore, "_TERMS_PER_BIT", 1)
-        with pytest.raises(NoConvergence):
+    def test_decimal_sums_stop_at_max_terms(self, monkeypatch):
+        # at z = 0.8 the double sums settle within 160 terms, the decimal
+        # ones need more than 300
+        monkeypatch.setattr(qcore, "MAX_TERMS", 200)
+        with pytest.raises(NoConvergence, match="decimal series did not settle within 200 terms"):
             verify_identities(ParamSet(*self.HEAVY[0]), 0.8)
+
+
+def _gf():
+    return gfrac.gfraction_coeffs(gfrac.RatioVariant.SHIFT_A, ParamSet(0.5, 0.5, 0.2, 0.5), 512)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gfrac.gfraction_eval(_gf(), 0.5, tol=math.nan),
+    lambda: gfrac.gfraction_eval(_gf(), 0.5, tol=-1.0),
+    lambda: qcore.gauss_coeffs(0.5, 0.5, 0.3, -3),
+    lambda: q_pochhammer(math.nan, 0.5, INFINITY),
+    lambda: q_gamma(math.nan, 0.5),
+    lambda: q_pochhammer(math.nan, 0.5, 3),
+    lambda: q_pochhammer(0.5, 0.5, math.nan),
+    lambda: log_q(math.nan, 0.5),
+    lambda: geomtest.t1_threshold(math.nan, 0.5, 0.5),
+], ids=["gfraction_eval-tol-nan", "gfraction_eval-tol-negative", "gauss_coeffs-N-negative",
+        "q_pochhammer-a-nan-infinite", "q_gamma-x-nan", "q_pochhammer-a-nan",
+        "q_pochhammer-n-nan", "log_q-u-nan", "t1_threshold-a-nan"])
+def test_invalid_input_fails_at_entry(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ParamSet(0.5, 0.5, 0.5, 1.5), "q must lie in (0,1), got 1.5"),
+    (lambda: q_pochhammer(0.5, 0.0, 3), "q must lie in (0,1), got 0.0"),
+    (lambda: geomtest.t1_threshold(0.5, 0.5, 1.0), "q must lie in (0,1), got 1.0"),
+    (lambda: geomtest.KqGrid(4, 4, 1.5), "r_max must lie in (0,1), got 1.5"),
+    (lambda: geomtest.boundary_curve(None, -0.5, 256), "r must lie in (0,1), got -0.5"),
+])
+def test_unit_interval_messages(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
