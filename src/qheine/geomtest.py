@@ -15,9 +15,10 @@ terms however close r is to 1 (qcore.heine_pole_split; C_n = A_n before
 the index m where A_n comes near L).  Gauss series keep L = 0 and take as
 many coefficients as r needs.  The pole part is evaluated directly; the
 polynomial part is folded modulo the sample count and turned into samples
-by one inverse FFT, exact at uniformly spaced angles.  The split does not
-cure cancellation: where |L| dwarfs |Phi|, as near z = -r for q near 1 and
-small a, b, c, samples lose digits in proportion to |L/Phi|.
+by one inverse FFT, exact at uniformly spaced angles; sample_circles takes
+all the curves of a scan point through one such pass.  The split does not
+cure cancellation: where |L| dwarfs |Phi|, as near z = -r for q near 1
+and small a, b, c, samples lose digits in proportion to |L/Phi|.
 """
 from __future__ import annotations
 
@@ -25,11 +26,11 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import CutError, DegenerateCurve, DomainError, NoConvergence
+from .errors import CutError, DegenerateCurve, DomainError, NoConvergence, QHeineError
 from .gfrac import RatioVariant
 from .qcore import (ParamSet, gauss_coeffs, geometric_powers, heine_coeffs,
                     heine_pole_split, log_q, q_gamma, require_finite,
@@ -86,27 +87,81 @@ def _turns(M: int, m: int = 1) -> np.ndarray:
     return out
 
 
-def _eval_on_rings(side, radii: np.ndarray, M: int) -> np.ndarray:
-    """A side at r_j e^{2 pi i k/M} for every radius, shape (len(radii), M).
+def _fold_and_transform(parts, rho: np.ndarray, M: int) -> np.ndarray:
+    """Parts (L, m, C) at rho[j, i] e^{2 pi i k/M}, shape (P, R, M).
 
-    The pole part L (s z)^m/(1 - s z) is evaluated directly.  The polynomial
-    part folds C_n (s r_j)^n modulo M: the residue-j fold at radius rho is
-    rho^j * P_j(rho^M) with P_j the polynomial of every M-th coefficient,
-    so one matrix product against the rho^M power table evaluates all
-    folds, and one batched inverse FFT turns folds into uniform-angle
-    samples.  The coefficients are requested at the largest radius.
+    Part j stands for L (rho z)^m/(1 - rho z) + sum_n C_n (rho z)^n at the
+    R radii in row j of rho.  The pole part is evaluated directly.  The
+    polynomial part folds C_n rho^n modulo M: the residue-i fold at radius
+    rho is rho^i * P_i(rho^M) with P_i the polynomial of every M-th
+    coefficient, so one matrix product against the rho^M power table
+    evaluates a part's folds (at most M coefficients need only the rho^i
+    factors), and one inverse FFT over every part and radius turns folds
+    into uniform-angle samples.
     """
+    P, R = rho.shape
+    F = np.vander(rho.ravel(), M, increasing=True).reshape(P, R, M)
+    for j, (L, m, coeffs) in enumerate(parts):
+        C = np.concatenate([coeffs, np.zeros((-len(coeffs)) % M)]).reshape(-1, M)
+        if len(C) == 1:
+            F[j] *= C[0]
+        else:
+            F[j] *= (C.T @ np.vander(rho[j]**M, len(C), increasing=True).T).T
+    out = np.fft.ifft(F, axis=-1) * M
+    for j, (L, m, coeffs) in enumerate(parts):
+        if L != 0.0:
+            r = rho[j][:, None]
+            out[j] += L * r**m * _turns(M, m) / (1.0 - r * _turns(M))
+    return out
+
+
+def _eval_on_rings(side, radii: np.ndarray, M: int) -> np.ndarray:
+    """A side at r_j e^{2 pi i k/M} for every radius, shape (len(radii), M);
+    the coefficients are requested at the largest radius."""
     radii = np.asarray(radii, dtype=float)
     L, m, coeffs, s = side(float(radii.max()))
-    rho = s * radii
-    C = np.concatenate([coeffs, np.zeros((-len(coeffs)) % M)]).reshape(-1, M).T  # (M, T)
-    S = np.vander(rho**M, C.shape[1], increasing=True).T  # (T, R)
-    F = (C @ S) * np.vander(rho, M, increasing=True).T  # folded, (M, R)
-    out = (np.fft.ifft(F, axis=0) * M).T
-    if L != 0.0:
-        rho = rho[:, None]
-        out += L * rho**m * _turns(M, m) / (1.0 - rho * _turns(M))
-    return out
+    return _fold_and_transform([(L, m, coeffs)], (s * radii)[None], M)[0]
+
+
+def sample_circles(maps: Sequence[CurveMap], r: float, M: int) -> Iterator[np.ndarray]:
+    """Yield each map's samples of the image of |z| = r at M uniform angles.
+
+    Every side is evaluated in one _fold_and_transform; a side that
+    several maps share (the same cached split at the same scale, as
+    Phi[a,b;c;q,z] is the denominator of both shift_a and shift_all) only
+    once.  Sides are requested map by map up to the first that raises.
+    Map i's error, or its CutError for a non-finite sample, is raised when
+    the caller asks for map i, so a caller that stops at an earlier map
+    never sees it.
+    """
+    parts, rhos, index, pairs, error = [], [], {}, [], None
+    for curve_map in maps:
+        try:
+            sides = [curve_map.num(r), curve_map.den(r)]
+        except QHeineError as exc:
+            error = exc
+            break
+        pair = []
+        for L, m, coeffs, s in sides:
+            key = (id(coeffs), L, m, s)  # a cached split returns the same read-only C
+            if key not in index:
+                index[key] = len(parts)
+                parts.append((L, m, coeffs))
+                rhos.append(s * r)
+            pair.append(index[key])
+        pairs.append(pair)
+    values = _fold_and_transform(parts, np.array(rhos).reshape(-1, 1), M)[:, 0]
+    turns = r * _turns(M)
+    for curve_map, (num, den) in zip(maps, pairs):
+        with np.errstate(all="ignore"):
+            w = values[num] / values[den]
+            w = w * turns
+        bad = np.nonzero(~np.isfinite(w))[0]
+        if len(bad):
+            raise CutError(f"{curve_map.label}: non-finite curve sample at index {bad[0]}")
+        yield w
+    if error is not None:
+        raise error
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,13 +173,7 @@ class CurveMap:
     den: Callable[[float], tuple]
 
     def sample_circle(self, r: float, M: int) -> np.ndarray:
-        radius = np.array([r])
-        w = _eval_on_rings(self.num, radius, M)[0] / _eval_on_rings(self.den, radius, M)[0]
-        w = w * (r * _turns(M))
-        bad = np.nonzero(~np.isfinite(w))[0]
-        if len(bad):
-            raise CutError(f"{self.label}: non-finite curve sample at index {bad[0]}")
-        return w
+        return next(sample_circles([self], r, M))
 
 
 def _ratio_map(variant: RatioVariant, p: ParamSet, label: str, s: float = 1.0) -> CurveMap:
@@ -300,6 +349,20 @@ def bn_sequence(p: ParamSet, N: int) -> SequenceClass:
     return SequenceClass(verdict, B, limit)
 
 
+@lru_cache(maxsize=16)
+def _kq_points(grid: KqGrid) -> tuple:
+    """The grid's radii, points z, g(z) = z/(1-z) and |g(z)|; read-only."""
+    radii = grid.r_max * np.sin(np.pi * (np.arange(grid.n_radii) + 1.0)
+                                / (2.0 * grid.n_radii))
+    angles = np.exp(2j * np.pi * np.arange(grid.n_angles) / grid.n_angles)
+    zs = radii[:, None] * angles[None, :]
+    g = zs / (1.0 - zs)
+    out = radii, zs, g, np.abs(g)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def kq_membership_test(p: ParamSet, grid: KqGrid = KqGrid()) -> KqReport:
     """Sampled q-close-to-convexity ratio for f(z) = z Phi[a,b;c;q,z].
 
@@ -308,16 +371,12 @@ def kq_membership_test(p: ParamSet, grid: KqGrid = KqGrid()) -> KqReport:
     point z = 0 is excluded (there the criterion degenerates to the
     normalisation f'(0) = 1).
     """
-    radii = grid.r_max * np.sin(np.pi * (np.arange(grid.n_radii) + 1.0)
-                                / (2.0 * grid.n_radii))
-    angles = np.exp(2j * np.pi * np.arange(grid.n_angles) / grid.n_angles)
+    radii, zs, g, g_abs = _kq_points(grid)
     phi = _eval_on_rings(_heine_side(p), np.concatenate([radii, p.q * radii]),
                          grid.n_angles)
-    zs = radii[:, None] * angles[None, :]
     fz = zs * phi[: grid.n_radii]
     fqz = p.q * zs * phi[grid.n_radii :]
-    g = zs / (1.0 - zs)
-    ratio = np.abs(g + fqz - fz) / np.abs(g)
+    ratio = np.abs(g + fqz - fz) / g_abs
     k = int(np.argmax(ratio))
     worst = complex(zs.ravel()[k])
     max_ratio = float(ratio.ravel()[k])
@@ -348,11 +407,10 @@ def boundary_curve(curve_map: CurveMap, r: float, M: int) -> BoundaryCurve:
 
 
 def _cyclic_sign_changes(values: np.ndarray, floor: float) -> int:
-    keep = np.abs(values) >= floor
-    s = np.sign(values[keep])
+    s = np.sign(values[np.abs(values) >= floor])
     if s.size == 0:
         raise DegenerateCurve("all differences below tolerance")
-    return int(np.sum(s != np.roll(s, 1)))
+    return int(np.count_nonzero(s[1:] != s[:-1])) + int(s[0] != s[-1])
 
 
 def vertical_convexity_check(curve: BoundaryCurve, tol: float = 1e-9) -> ConvexityReport:
@@ -363,11 +421,13 @@ def vertical_convexity_check(curve: BoundaryCurve, tol: float = 1e-9) -> Convexi
     vertically convex domain exactly when Re w has one maximum and one
     minimum, i.e. exactly 2 sign changes.
     """
-    w = curve.samples
-    diam = float(np.hypot(np.ptp(w.real), np.ptp(w.imag)))
+    x, y = curve.samples.real, curve.samples.imag
+    diam = float(np.hypot(x.max() - x.min(), y.max() - y.min()))
     if diam == 0.0:
         raise DegenerateCurve("curve has zero diameter")
-    d = np.roll(w.real, -1) - w.real
+    d = np.empty_like(x)
+    np.subtract(x[1:], x[:-1], out=d[:-1])
+    d[-1] = x[0] - x[-1]
     changes = _cyclic_sign_changes(d, tol * diam)
     return ConvexityReport(changes == 2, changes)
 

@@ -248,7 +248,7 @@ def gfraction_eval(gf: GFraction, w: complex, tol: float = 1e-13) -> EvalResult:
         return 1.0 / t
 
     limit = len(p)
-    depths = [max(1, min(32, limit) // 2)] if limit <= 32 else []
+    depths = [limit // 2] if 2 <= limit <= 32 else []  # one numerator: nothing to compare
     d = 32
     while d < limit:
         depths.append(d)
@@ -419,11 +419,14 @@ def totally_monotone_check(m: Union[MomentSequence, np.ndarray],
 
     Delta is the forward difference in k.  Returns the first violating
     (j, k) scanning difference order j outward, None when all pass.  tol
-    must be finite and >= 0.
+    must be finite and >= 0, and every moment finite.
     """
     if not 0.0 <= tol < np.inf:
         raise DomainError(f"tol must be finite and >= 0, got {tol}")
     seq = np.asarray(m.m if isinstance(m, MomentSequence) else m, dtype=float)
+    bad = np.nonzero(~np.isfinite(seq))[0]
+    if len(bad):
+        raise DomainError(f"moments must be finite, got {seq[bad[0]]} at index {bad[0]}")
     row = seq.copy()
     sign = 1.0
     for j in range(len(seq)):

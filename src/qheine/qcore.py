@@ -204,16 +204,23 @@ def heine_pole_split(p: ParamSet) -> Tuple[float, int, np.ndarray]:
         C = heine_coeffs(p, int(zero[0])).coeffs
         C.setflags(write=False)
         return 0.0, 0, C
-    lg = np.log1p(np.where(x > 1.0, x - 2.0, -x))  # log|1 - x|
+    negative = x > 1.0  # only a, b and c factors can exceed 1
+    if negative.any():
+        lg = np.log1p(np.where(negative, x - 2.0, -x))  # log|1 - x|
+        flip = np.cumsum(negative.sum(axis=0)[::-1])[::-1][:K] % 2 == 1
+    else:
+        lg, flip = np.log1p(-x), None
     logs = lg[0] + lg[1] - lg[2] - lg[3]
-    negative = np.sum(x[:3] > 1.0, axis=0)
     S = np.cumsum(logs[::-1])[::-1][:K]
-    flip = np.cumsum(negative[::-1])[::-1][:K] % 2 == 1
-    rel = np.where(flip, -np.exp(-S) - 1.0, np.expm1(-S))  # (A_n - L)/L
-    larger = np.nonzero(np.abs(rel) > np.exp(-S))[0]
+    e = np.exp(-S)
+    rel = np.expm1(-S)  # (A_n - L)/L
+    if flip is not None:
+        rel = np.where(flip, -e - 1.0, rel)
+    larger = np.nonzero(np.abs(rel) > e)[0]
     m = min(int(larger[-1]) + 1, K - 1) if len(larger) else 0
-    A = heine_coeffs(p, m).coeffs
-    L = float(A[m] * np.exp(S[m])) * (-1.0 if flip[m] else 1.0)  # inf beyond double range
+    A = heine_coeffs(p, m).coeffs if m else np.ones(1)
+    sign = -1.0 if flip is not None and flip[m] else 1.0
+    L = float(A[m] * np.exp(S[m])) * sign  # inf beyond double range
     C = L * rel
     C[:m] = A[:m]
     C.setflags(write=False)
@@ -332,6 +339,7 @@ def gauss_coeffs(a: float, b: float, c: float, N: int) -> PowerSeries:
     """Coefficients (a)_n (b)_n / ((c)_n n!) for n = 0..N."""
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
+    require_finite(a=a, b=b, c=c)
     if c <= 0.0 and c == int(c):
         raise DomainError(f"c must not be a nonpositive integer, got {c}")
     return PowerSeries(np.concatenate([[1.0], np.cumprod(_gauss_ratios(a, b, c, N))]))

@@ -22,14 +22,15 @@ from .gfrac import RatioVariant, hypothesis_check
 from .geomtest import (
     MIN_BN_N,
     MIN_CURVE_SAMPLES,
+    BoundaryCurve,
     KqGrid,
     bn_sequence,
-    boundary_curve,
     kq_conditions_check,
     kq_membership_test,
     map_shift_a,
     map_shift_all,
     map_shift_bc,
+    sample_circles,
     vertical_convexity_check,
 )
 from .qcore import ParamSet, require_finite, require_unit_interval
@@ -149,8 +150,10 @@ def scan_point(a: float, b: float, c: float, q: float, grid: GridSpec) -> ScanRe
         if not maps:
             maps.append(map_shift_bc(p, normalized=True))
             notes.append("vconvex:exploratory")
-        return all(vertical_convexity_check(
-            boundary_curve(m, grid.curve_r, grid.curve_samples)).passed for m in maps)
+        # one batched pass; map i's error surfaces only if maps 0..i-1 pass
+        curves = sample_circles(maps, grid.curve_r, grid.curve_samples)
+        return all(vertical_convexity_check(BoundaryCurve(grid.curve_r, w)).passed
+                   for w in curves)
 
     bn_verdict = _run_test("bn", grid.run_bn, notes,
                            lambda: bn_sequence(p, grid.bn_n).verdict.value)

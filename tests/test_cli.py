@@ -195,6 +195,14 @@ class TestBoundaryAndFigures:
         assert len(lines) == 514  # header + 512 rows + trailing newline
         assert "\r" not in b1.decode()
 
+    @pytest.mark.filterwarnings("error")
+    def test_cut_error_exit_2_without_numpy_warnings(self, capsys, tmp_path):
+        rc, _, err = run_cli(capsys, "boundary", "--map", "shift_bc_qz", "-a", "0.26",
+                             "-b", "0.26", "-c", "0.97", "-q", "0.95", "-r", "0.999",
+                             "-M", "4096", "--out", str(tmp_path / "w.csv"))
+        assert rc == 2
+        assert err == "CutError: shift_bc_qz: non-finite curve sample at index 1176\n"
+
     def test_csv_round_trips_17_digits(self):
         curve = boundary_curve(identity_map(), 0.5, 256)
         text = curve_to_csv(curve)

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import sample_hypothesis_passing, sample_params
 from qheine import geomtest
-from qheine.errors import DegenerateCurve, DomainError, NoConvergence
+from qheine.errors import DegenerateCurve, DomainError, NoConvergence, QHeineError
 from qheine.gfrac import RatioVariant, hypothesis_check
 from qheine.geomtest import (
     BoundaryCurve,
+    CurveMap,
     KqGrid,
     KqRoute,
     SequenceVerdict,
@@ -26,6 +27,7 @@ from qheine.geomtest import (
     map_shift_all,
     map_shift_bc,
     map_zphi,
+    sample_circles,
     t1_threshold,
     vertical_convexity_check,
 )
@@ -343,3 +345,67 @@ def test_split_term_count_ignores_radius():
             for side in (make(p).num, make(p).den):
                 assert len(side(0.999)[2]) == len(side(0.5)[2]) <= 400
         assert len(make(ParamSet(0.9, 0.95, 0.9, 0.9)).den(0.999)[2]) <= 400
+
+
+def _each_alone(maps, r, M):
+    """Each map sampled on its own: its samples, or the type of its error."""
+    out = []
+    for cmap in maps:
+        try:
+            out.append(boundary_curve(cmap, r, M).samples)
+        except QHeineError as exc:
+            out.append(type(exc))
+    return out
+
+
+@given(st.floats(-0.9, 0.95), st.floats(-0.9, 0.95), st.floats(-0.9, 0.95),
+       st.floats(0.05, 0.95), st.sampled_from([256, 1024, 4096]),
+       st.sampled_from([0.5, 0.99, 0.999]))
+@settings(max_examples=40, deadline=None)
+def test_sample_circles_match_each_map_alone(a, b, c, q, M, r):
+    """One batched pass gives every map its own samples bit for bit: the
+    denominator shift_a and shift_all share (also zphi's numerator) is
+    evaluated once, and gauss_ratio folds more than M coefficients at r
+    near 1.  A map that fails alone fails in the batch at its turn."""
+    p = ParamSet(a, b, c, q)
+    maps = [map_shift_bc(p, normalized=True), map_shift_a(p), map_shift_all(p),
+            map_zphi(p), map_gauss_ratio(a, b, c), map_shift_bc(p)]
+    alone = _each_alone(maps, r, M)
+    batch = sample_circles(maps, r, M)
+    for want in alone:
+        if isinstance(want, type):
+            with pytest.raises(want):
+                next(batch)
+            break
+        assert next(batch).tobytes() == want.tobytes()
+    good = [(cmap, want) for cmap, want in zip(maps, alone) if not isinstance(want, type)]
+    got = list(sample_circles([cmap for cmap, _ in good], r, M))
+    assert [w.tobytes() for w in got] == [want.tobytes() for _, want in good]
+
+
+def test_shared_sides_evaluated_once(monkeypatch, p_a):
+    counts = []
+    fold = geomtest._fold_and_transform
+
+    def counting(parts, rho, M):
+        counts.append(len(parts))
+        return fold(parts, rho, M)
+
+    monkeypatch.setattr(geomtest, "_fold_and_transform", counting)
+    maps = [map_shift_a(p_a), map_shift_all(p_a), map_zphi(p_a)]
+    assert len(list(sample_circles(maps, 0.99, 1024))) == 3
+    # the two shifted numerators, zphi's constant denominator, and one
+    # Phi[a,b;c;q,z] for both denominators and zphi's numerator
+    assert counts == [4]
+
+
+def test_sample_circles_defers_a_later_error():
+    def failing(r):
+        raise NoConvergence("side failed")
+
+    maps = [identity_map(), CurveMap("failing", failing, failing), identity_map()]
+    batch = sample_circles(maps, 0.5, 256)
+    assert next(batch).tobytes() == boundary_curve(identity_map(), 0.5, 256).samples.tobytes()
+    with pytest.raises(NoConvergence, match="side failed"):
+        next(batch)
+

@@ -270,6 +270,15 @@ class TestGFractionEval:
         with pytest.raises(DenominatorZero, match="depth 1"):
             gfraction_eval(gf, 0.5)
 
+    def test_one_numerator_is_not_settled(self):
+        # one stored numerator gives one depth and nothing to compare it with;
+        # SHIFT_A, whose two numerators disagree at 0.3, raises the same way
+        p = ParamSet(0.5, 0.5, 0.2, 0.5)
+        assert len(gfraction_coeffs(BC, p, 2).partial_numerators) == 1
+        for variant in (BC, A):
+            with pytest.raises(NoConvergence):
+                gfraction_eval(gfraction_coeffs(variant, p, 2), 0.3)
+
     def test_depth_exhaustion(self, p_a):
         # far too few stored coefficients for a point near the cut
         gf = gfraction_coeffs(A, p_a, 4)

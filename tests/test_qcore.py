@@ -135,6 +135,30 @@ def split_value(split, z):
     return L * z**m / (1.0 - z) + np.polyval(C[::-1], z)
 
 
+def general_pole_split(p):
+    """heine_pole_split with its sign bookkeeping always on and heine_coeffs
+    always called, as it was written before those shortcuts."""
+    a, b, c, q = p.a, p.b, p.c, p.q
+    K = qcore._split_terms(p)
+    x = np.outer([a, b, c, q], qcore.geometric_powers(q, 2 * K))
+    zero = np.nonzero(np.any(x[:2] == 1.0, axis=0))[0]
+    if len(zero):
+        return 0.0, 0, heine_coeffs(p, int(zero[0])).coeffs
+    lg = np.log1p(np.where(x > 1.0, x - 2.0, -x))
+    logs = lg[0] + lg[1] - lg[2] - lg[3]
+    negative = np.sum(x[:3] > 1.0, axis=0)
+    S = np.cumsum(logs[::-1])[::-1][:K]
+    flip = np.cumsum(negative[::-1])[::-1][:K] % 2 == 1
+    rel = np.where(flip, -np.exp(-S) - 1.0, np.expm1(-S))
+    larger = np.nonzero(np.abs(rel) > np.exp(-S))[0]
+    m = min(int(larger[-1]) + 1, K - 1) if len(larger) else 0
+    A = heine_coeffs(p, m).coeffs
+    L = float(A[m] * np.exp(S[m])) * (-1.0 if flip[m] else 1.0)
+    C = L * rel
+    C[:m] = A[:m]
+    return L, m, C
+
+
 class TestHeinePoleSplit:
     # sets with a negative factor (a > 1, c > 1) or negative parameters
     # carry their sign through the split; figure 4's set has A_n and L
@@ -199,6 +223,28 @@ class TestHeinePoleSplit:
         assert L == 0.0 and m == 0 and len(C) == length
         np.testing.assert_array_equal(C, heine_coeffs(p, length - 1).coeffs)
         assert not C.flags.writeable  # the split is cached and shared
+
+    def test_bits_match_the_general_split(self):
+        # the split skips its sign bookkeeping where no factor exceeds 1 and
+        # heine_coeffs where m = 0; both shortcuts keep every bit
+        rng = np.random.default_rng(16)
+        sets = [(4.0, 0.6, 0.3, 0.5), (1.0, 0.3, 0.2, 0.5), (0.3, 2.0, 0.2, 0.5),
+                (2.5, -0.4, 3.3, 0.6), (-0.5, -0.3, -0.2, 0.4), (0.4, 0.3, 0.6, 0.58),
+                (0.05, 0.05, 0.77, 0.9), (0.99, 0.998, 0.98, 0.9)]
+        sets += [(*rng.uniform(-3.0, 3.0, 3), rng.uniform(0.05, 0.95)) for _ in range(200)]
+        seen = set()
+        for abcq in sets:
+            try:
+                p = ParamSet(*abcq)
+            except DomainError:
+                continue
+            L, m, C = heine_pole_split(p)
+            want_L, want_m, want_C = general_pole_split(p)
+            assert (L, m, C.tobytes()) == (want_L, want_m, want_C.tobytes()), abcq
+            seen.add(("terminating" if L == 0.0 else "m > 0" if m else "m = 0",
+                      max(abcq[:3]) > 1.0))
+        assert {("terminating", True), ("m = 0", False), ("m = 0", True),
+                ("m > 0", False), ("m > 0", True)} <= seen
 
     def test_term_count_from_q_alone(self):
         counts = [len(heine_pole_split(ParamSet(0.5, 0.5, 0.2, q))[2])
@@ -692,9 +738,14 @@ def _gf():
     lambda: q_pochhammer(0.5, 0.5, math.nan),
     lambda: log_q(math.nan, 0.5),
     lambda: geomtest.t1_threshold(math.nan, 0.5, 0.5),
+    lambda: qcore.gauss_coeffs(math.nan, 0.5, 0.3, 3),
+    lambda: qcore.gauss_coeffs(0.5, 0.5, math.inf, 3),
+    lambda: gfrac.totally_monotone_check(np.array([1.0, math.nan, 0.2]), 1e-9),
+    lambda: gfrac.totally_monotone_check(np.array([1.0, 0.5, -math.inf]), 1e-9),
 ], ids=["gfraction_eval-tol-nan", "gfraction_eval-tol-negative", "gauss_coeffs-N-negative",
         "q_pochhammer-a-nan-infinite", "q_gamma-x-nan", "q_pochhammer-a-nan",
-        "q_pochhammer-n-nan", "log_q-u-nan", "t1_threshold-a-nan"])
+        "q_pochhammer-n-nan", "log_q-u-nan", "t1_threshold-a-nan", "gauss_coeffs-a-nan",
+        "gauss_coeffs-c-inf", "totally_monotone_check-nan", "totally_monotone_check-inf"])
 def test_invalid_input_fails_at_entry(call):
     with pytest.raises(DomainError):
         call()

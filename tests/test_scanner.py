@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from qheine.errors import CapExceeded, DomainError
+from qheine.errors import CapExceeded, CutError, DomainError
+from qheine.geomtest import (
+    boundary_curve,
+    map_shift_a,
+    map_shift_all,
+    map_shift_bc,
+    vertical_convexity_check,
+)
+from qheine.qcore import ParamSet
 from qheine.scanner import (
     GridSpec,
     Range,
@@ -120,3 +128,31 @@ class TestCsv:
                             "0.29999999999999999,0.40000000000000002,"
                             "true,false,none,neither,skipped,true,vconvex:disabled")
         assert text.endswith("\n")
+
+
+class TestVconvexOrder:
+    """The maps of a point are sampled in one pass, but read in order."""
+
+    def test_earlier_nonconvex_map_hides_a_later_error(self):
+        # at r = 0.999 the shift_bc_qz curve reads not convex, while shift_a
+        # and shift_all have a non-finite sample
+        p = ParamSet(0.19, 0.01, 0.01, 0.95)
+        first = boundary_curve(map_shift_bc(p, normalized=True), 0.999, 4096)
+        assert not vertical_convexity_check(first).passed
+        for later in (map_shift_a(p), map_shift_all(p)):
+            with pytest.raises(CutError):
+                boundary_curve(later, 0.999, 4096)
+        grid = single_point_grid(0.19, 0.01, 0.01, 0.95, run_bn=False, run_kq=False,
+                                 curve_r=0.999, curve_samples=4096)
+        rec = scan_point(0.19, 0.01, 0.01, 0.95, grid)
+        assert rec.hyp_thm1 and rec.hyp_thm2
+        assert rec.empirical_vconvex is False
+        assert not [n for n in rec.notes if n.startswith("vconvex")]
+
+    @pytest.mark.filterwarnings("error")
+    def test_first_error_is_noted_without_numpy_warnings(self):
+        grid = single_point_grid(0.27, 0.27, 0.27, 0.95, run_bn=False, run_kq=False,
+                                 curve_r=0.999, curve_samples=4096)
+        rec = scan_point(0.27, 0.27, 0.27, 0.95, grid)
+        assert rec.empirical_vconvex is None
+        assert "vconvex:CutError" in rec.notes
