@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the golden figure CSVs used by the regression tests.
+"""Regenerate the golden figure CSVs and the demo scan CSV used by the
+regression tests.
 
 Run from the repository root after an intentional change to the curve
 pipeline, then review the diff before committing:
@@ -22,7 +23,12 @@ def run():
         if rc != 0:
             return rc
         print(f"wrote {out}")
-    return 0
+    out = GOLDEN_DIR / "demo_scan.csv"
+    config = GOLDEN_DIR.parent.parent / "scripts" / "demo_scan.cfg"
+    rc = main(["scan", "--config", str(config), "--threads", "1", "--out", str(out)])
+    if rc == 0:
+        print(f"wrote {out}")
+    return rc
 
 
 if __name__ == "__main__":

@@ -48,10 +48,16 @@ MIN_BN_N = 2
 # series-on-circle machinery
 
 def _adaptive_coeffs(coeff_fn: Callable[[int], np.ndarray], r: float) -> np.ndarray:
-    """Enough coefficients that the geometric tail at radius r is negligible."""
+    """Enough coefficients that the geometric tail at radius r is negligible;
+    NoConvergence at the first coefficient that overflows."""
     N = min(_MAX_COEFFS, max(256, int(33.0 / max(1e-5, -math.log(r))) + 64))
     while True:
-        c = coeff_fn(N)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = coeff_fn(N)
+        finite = np.isfinite(c)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise NoConvergence(f"series coefficient {bad} is {c[bad]}")
         weighted = np.abs(c) * geometric_powers(r, len(c))
         scale = max(1.0, float(weighted.sum()))
         tail = float(weighted[-8:].max()) * r / (1.0 - r)
@@ -87,6 +93,32 @@ def _turns(M: int, m: int = 1) -> np.ndarray:
     return out
 
 
+# Ring tables depend only on the radii (packed as bytes) and M; a grid
+# sweep meets the same few at every point of one q.  They are read-only.
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=8)
+def _ring_powers(rho: bytes, M: int) -> np.ndarray:
+    """rho_i^k for k = 0..M-1, one row per radius."""
+    return _read_only(np.vander(np.frombuffer(rho), M, increasing=True))
+
+
+@lru_cache(maxsize=8)
+def _fold_powers(rho: bytes, M: int, T: int) -> np.ndarray:
+    """(rho_i^M)^t for t = 0..T-1, one row per radius."""
+    return _read_only(np.vander(np.frombuffer(rho)**M, T, increasing=True))
+
+
+@lru_cache(maxsize=8)
+def _pole_denominators(rho: bytes, M: int) -> np.ndarray:
+    """1 - rho_i e^{2 pi i k/M}, one row per radius."""
+    return _read_only(1.0 - np.frombuffer(rho)[:, None] * _turns(M))
+
+
 def _fold_and_transform(parts, rho: np.ndarray, M: int) -> np.ndarray:
     """Parts (L, m, C) at rho[j, i] e^{2 pi i k/M}, shape (P, R, M).
 
@@ -100,18 +132,23 @@ def _fold_and_transform(parts, rho: np.ndarray, M: int) -> np.ndarray:
     into uniform-angle samples.
     """
     P, R = rho.shape
-    F = np.vander(rho.ravel(), M, increasing=True).reshape(P, R, M)
+    powers = _ring_powers(rho.tobytes(), M).reshape(P, R, M)
+    # rho > 0, so the zero coefficients that pad C to a multiple of M
+    # leave +0 at their residues
+    F = np.zeros((P, R, M))
     for j, (L, m, coeffs) in enumerate(parts):
-        C = np.concatenate([coeffs, np.zeros((-len(coeffs)) % M)]).reshape(-1, M)
-        if len(C) == 1:
-            F[j] *= C[0]
+        n = len(coeffs)
+        if n <= M:
+            np.multiply(powers[j, :, :n], coeffs, out=F[j, :, :n])
         else:
-            F[j] *= (C.T @ np.vander(rho[j]**M, len(C), increasing=True).T).T
+            C = np.concatenate([coeffs, np.zeros((-n) % M)]).reshape(-1, M)
+            fold = _fold_powers(rho[j].tobytes(), M, len(C))
+            np.multiply(powers[j], (C.T @ fold.T).T, out=F[j])
     out = np.fft.ifft(F, axis=-1) * M
     for j, (L, m, coeffs) in enumerate(parts):
         if L != 0.0:
             r = rho[j][:, None]
-            out[j] += L * r**m * _turns(M, m) / (1.0 - r * _turns(M))
+            out[j] += L * r**m * _turns(M, m) / _pole_denominators(rho[j].tobytes(), M)
     return out
 
 
@@ -150,16 +187,17 @@ def sample_circles(maps: Sequence[CurveMap], r: float, M: int) -> Iterator[np.nd
                 rhos.append(s * r)
             pair.append(index[key])
         pairs.append(pair)
-    values = _fold_and_transform(parts, np.array(rhos).reshape(-1, 1), M)[:, 0]
-    turns = r * _turns(M)
-    for curve_map, (num, den) in zip(maps, pairs):
+    if pairs:
+        values = _fold_and_transform(parts, np.array(rhos).reshape(-1, 1), M)[:, 0]
+        num, den = np.array(pairs).T
         with np.errstate(all="ignore"):
-            w = values[num] / values[den]
-            w = w * turns
-        bad = np.nonzero(~np.isfinite(w))[0]
-        if len(bad):
-            raise CutError(f"{curve_map.label}: non-finite curve sample at index {bad[0]}")
-        yield w
+            w = values[num] / values[den] * (r * _turns(M))
+        finite = np.isfinite(w)
+    for i, curve_map in enumerate(maps[:len(pairs)]):
+        if not finite[i].all():
+            bad = int(np.argmin(finite[i]))
+            raise CutError(f"{curve_map.label}: non-finite curve sample at index {bad}")
+        yield w[i]
     if error is not None:
         raise error
 

@@ -8,7 +8,8 @@ identity residual report, which sums its series in stdlib decimal where
 double cancellation would swamp the residuals.  Heine and Gauss series are
 summed directly by one array kernel.
 
-All evaluators are pure functions; nothing here holds mutable state.
+All evaluators are pure functions.  The only state is caches of read-only
+results: the pole splits and the factor rows they are built from.
 """
 from __future__ import annotations
 
@@ -16,6 +17,8 @@ import cmath
 import decimal
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Tuple, Union
@@ -173,6 +176,78 @@ def _split_terms(p: ParamSet) -> int:
     return max(2, math.ceil(math.log(_EPS * (1.0 - p.q) ** 2 / size) / math.log(p.q)))
 
 
+class _FactorRows:
+    """A small LRU cache of the factors 1 - v q^k of the Heine term ratios,
+    one row per (v, q).
+
+    A row is (factor, lg, neg, unit): factor[k] = 1 - v q^k, lg[k] =
+    log|1 - v q^k| in log1p form, neg the flags v q^k > 1 (None where there
+    are none) and unit the first k with v q^k == 1 (None where there is
+    none).  geometric_powers is a running product, so a row built longer
+    holds the same bits in its prefix: a request for n entries takes any
+    cached row at least n long, and only a missing or shorter row is built
+    again, all of them in one outer product.  The rows are read-only; the
+    cache keeps at most maxsize.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._rows = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._rows.clear()
+
+    def rows(self, values, q: float, n: int) -> list:
+        """The rows of every v in values, each at least n long."""
+        # the sign of a zero v reaches the bits of log1p(-v q^k)
+        keys = [(v, math.copysign(1.0, v), q) for v in values]
+        rows, missing = [], []
+        with self._lock:
+            for i, key in enumerate(keys):
+                row = self._rows.get(key)
+                if row is not None and len(row[0]) >= n:
+                    self._rows.move_to_end(key)
+                else:
+                    row = None
+                    missing.append(i)
+                rows.append(row)
+        if not missing:
+            return rows
+        x = np.outer([values[i] for i in missing], geometric_powers(q, n))
+        if (x >= 1.0).any():  # only a, b and c factors can reach 1
+            negative = x > 1.0
+            negative.setflags(write=False)
+            neg = [f if f.any() else None for f in negative]
+            unit = [int(np.argmax(u)) if u.any() else None for u in x == 1.0]
+            # log(0) past a unit factor is never read: the split stops there
+            with np.errstate(divide="ignore"):
+                lg = np.log1p(np.where(negative, x - 2.0, -x))
+        else:
+            lg = np.log1p(-x)
+            neg = unit = [None] * len(missing)
+        lg.setflags(write=False)
+        factor = 1.0 - x
+        factor.setflags(write=False)
+        with self._lock:
+            for i, row in zip(missing, zip(factor, lg, neg, unit)):
+                rows[i] = self._rows[keys[i]] = row
+                self._rows.move_to_end(keys[i])
+            while len(self._rows) > self.maxsize:
+                self._rows.popitem(last=False)
+        return rows
+
+
+# a grid sweep visits its points q by q (scanner._scan_chunk); the splits
+# at one q read the rows of v and v q for each grid value v of a, b and c,
+# and of q itself
+FACTOR_ROWS = _FactorRows(maxsize=32)
+
+
 @lru_cache(maxsize=256)
 def heine_pole_split(p: ParamSet) -> Tuple[float, int, np.ndarray]:
     """(L, m, C) with Phi[a,b;c;q,z] = L z^m/(1-z) + sum_n C_n z^n.
@@ -188,29 +263,36 @@ def heine_pole_split(p: ParamSet) -> Tuple[float, int, np.ndarray]:
     product that gives A_0..A_m, so the pole and the leading coefficients
     cancel consistently where |L| dwarfs |Phi|.  A vanishing numerator factor
     terminates the series: then L = 0, m = 0 and C holds its coefficients.
-    The result is cached; C is read-only.
+    The factors and their logs come from FACTOR_ROWS.  The result is
+    cached; C is read-only.
     """
     a, b, c, q = p.a, p.b, p.c, p.q
     K = _split_terms(p)
     if K > MAX_TERMS:
         raise NoConvergence(f"pole split needs {K} terms at q={q}")
-    # 1 - x are the factors of A_{k+1}/A_k; summing their logs to 2K keeps
-    # S_n, and so A_n - L, accurate relative to itself for every n < K
-    x = np.outer([a, b, c, q], geometric_powers(q, 2 * K))
-    if np.any(x[2] == 1.0):
+    # 1 - v q^k are the factors of A_{k+1}/A_k; summing their logs to 2K
+    # keeps S_n, and so A_n - L, accurate relative to itself for every n < K
+    n = 2 * K
+    rows = FACTOR_ROWS.rows((a, b, c, q), q, n)
+    (fa, la, na, ua), (fb, lb, nb, ub), (fc, lc, nc, uc), (fq, lq, _, _) = rows
+    if uc is not None and uc < n:
         raise DenominatorZero(f"(1 - c q^n) vanished for p={p}")
-    zero = np.nonzero(np.any(x[:2] == 1.0, axis=0))[0]
-    if len(zero):
-        C = heine_coeffs(p, int(zero[0])).coeffs
+
+    def leading(count):  # A_0..A_count, as heine_coeffs gives them
+        ratios = fa[:count] * fb[:count] / (fc[:count] * fq[:count])
+        return np.concatenate([[1.0], np.cumprod(ratios)])
+
+    ends = [u for u in (ua, ub) if u is not None and u < n]
+    if ends:
+        C = leading(min(ends))
         C.setflags(write=False)
         return 0.0, 0, C
-    negative = x > 1.0  # only a, b and c factors can exceed 1
-    if negative.any():
-        lg = np.log1p(np.where(negative, x - 2.0, -x))  # log|1 - x|
-        flip = np.cumsum(negative.sum(axis=0)[::-1])[::-1][:K] % 2 == 1
+    negative = [f[:n] for f in (na, nb, nc) if f is not None]
+    if negative:
+        flip = np.cumsum(sum(negative)[::-1])[::-1][:K] % 2 == 1
     else:
-        lg, flip = np.log1p(-x), None
-    logs = lg[0] + lg[1] - lg[2] - lg[3]
+        flip = None
+    logs = la[:n] + lb[:n] - lc[:n] - lq[:n]
     S = np.cumsum(logs[::-1])[::-1][:K]
     e = np.exp(-S)
     rel = np.expm1(-S)  # (A_n - L)/L
@@ -218,7 +300,7 @@ def heine_pole_split(p: ParamSet) -> Tuple[float, int, np.ndarray]:
         rel = np.where(flip, -e - 1.0, rel)
     larger = np.nonzero(np.abs(rel) > e)[0]
     m = min(int(larger[-1]) + 1, K - 1) if len(larger) else 0
-    A = heine_coeffs(p, m).coeffs if m else np.ones(1)
+    A = leading(m)
     sign = -1.0 if flip is not None and flip[m] else 1.0
     L = float(A[m] * np.exp(S[m])) * sign  # inf beyond double range
     C = L * rel

@@ -165,25 +165,34 @@ def scan_point(a: float, b: float, c: float, q: float, grid: GridSpec) -> ScanRe
 
 
 def _scan_chunk(args) -> list:
+    """The records of points start..stop-1, in index order.
+
+    The points are visited q-major (q is the fastest axis of the index), so
+    that the tables a q builds (the split's factor rows, the ring tables)
+    serve every point of that q while they are still cached.
+    """
     grid, start, stop = args
     va, vb, vc, vq = (grid.a.values(), grid.b.values(), grid.c.values(),
                       grid.q.values())
     dims = (len(va), len(vb), len(vc), len(vq))
-    out = []
-    for idx in range(start, stop):
+    out = [None] * (stop - start)
+    for idx in sorted(range(start, stop), key=lambda i: (i % len(vq), i)):
         ia, ib, ic, iq = np.unravel_index(idx, dims)
-        out.append(scan_point(float(va[ia]), float(vb[ib]), float(vc[ic]),
-                              float(vq[iq]), grid))
+        out[idx - start] = scan_point(float(va[ia]), float(vb[ib]), float(vc[ic]),
+                                      float(vq[iq]), grid)
     return out
 
 
 def default_threads() -> int:
+    """QHEINE_THREADS if set, else the number of CPUs this process may use."""
     env = os.environ.get(ENV_THREADS, "").strip()
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise DomainError(f"{ENV_THREADS} must be an integer, got {env!r}")
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -191,8 +200,9 @@ def scan(grid: GridSpec, threads: Optional[int] = None) -> list:
     """Run the sweep; one record per point in lexicographic (a,b,c,q) order.
 
     Points are independent, so the work is split across QHEINE_THREADS
-    worker processes (default: all cores) and reassembled in index order;
-    the record sequence is identical regardless of thread count.
+    worker processes (default: all CPUs this process may use) and
+    reassembled in index order; the record sequence is identical regardless
+    of thread count.
     """
     total = grid.total_points()
     if total > grid.cap:

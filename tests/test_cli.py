@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -9,6 +10,8 @@ import pytest
 from qheine.cli import curve_to_csv, curve_to_svg, load_grid_config, main
 from qheine.geomtest import BoundaryCurve, boundary_curve, identity_map
 from qheine.scanner import GridSpec, Range
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +206,14 @@ class TestBoundaryAndFigures:
         assert rc == 2
         assert err == "CutError: shift_bc_qz: non-finite curve sample at index 1176\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gauss_coefficients_exit_2_without_numpy_warnings(self, capsys,
+                                                                         tmp_path):
+        rc, _, err = run_cli(capsys, "boundary", "--map", "gauss_ratio", "-a", "0.5",
+                             "-b", "0.5", "-c", "1e-310", "--out", str(tmp_path / "w.csv"))
+        assert rc == 2
+        assert err == "NoConvergence: series coefficient 1 is inf\n"
+
     def test_csv_round_trips_17_digits(self):
         curve = boundary_curve(identity_map(), 0.5, 256)
         text = curve_to_csv(curve)
@@ -356,6 +367,15 @@ class TestScan:
                             "--out", str(out2), "--threads", "1")
         assert rc == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_demo_scan_matches_its_golden(self, capsys, tmp_path, threads):
+        out = tmp_path / "scan.csv"
+        rc, payload, _ = run_json(capsys, "scan", "--config",
+                                  str(ROOT / "scripts" / "demo_scan.cfg"),
+                                  "--threads", threads, "--out", str(out))
+        assert rc == 0 and payload["points"] == 6**4
+        assert out.read_bytes() == (ROOT / "tests" / "golden" / "demo_scan.csv").read_bytes()
 
 
 class TestEntryPoint:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_hypothesis_passing, sample_params
-from qheine import geomtest
+from qheine import geomtest, qcore
 from qheine.errors import DegenerateCurve, DomainError, NoConvergence, QHeineError
 from qheine.gfrac import RatioVariant, hypothesis_check
 from qheine.geomtest import (
@@ -167,6 +167,12 @@ class TestBoundaryCurve:
         monkeypatch.setattr(geomtest, "_MAX_COEFFS", 512)
         with pytest.raises(NoConvergence):
             boundary_curve(map_gauss_ratio(0.0, 0.0199, 0.1), 0.999, 256)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_coefficients_raise_without_numpy_warnings(self):
+        # 0.5 * 0.5 / 1e-310 overflows the first Gauss coefficient
+        with pytest.raises(NoConvergence, match="coefficient 1 is inf"):
+            boundary_curve(map_gauss_ratio(0.5, 0.5, 1e-310), 0.5, 256)
 
     @pytest.mark.parametrize("abcq", [(1.5, 0.3, 0.2, 0.5), (0.3, 0.4, 1.7, 0.5),
                                       (4.0, 0.6, 0.3, 0.5), (2.0, 0.5, 0.2, 0.5)])
@@ -409,3 +415,34 @@ def test_sample_circles_defers_a_later_error():
     with pytest.raises(NoConvergence, match="side failed"):
         next(batch)
 
+
+def _clear_tables():
+    for cache in (geomtest._ring_powers, geomtest._fold_powers,
+                  geomtest._pole_denominators, geomtest._turns, qcore.heine_pole_split):
+        cache.cache_clear()
+    qcore.FACTOR_ROWS.clear()
+
+
+def test_ring_tables_cold_and_warm_give_the_same_bytes(p_a, p_bc):
+    """The cached ring tables and factor rows change no bit: curves at two
+    sample counts and kq rings at two angle counts, each with several fold
+    lengths, read the same bytes with every cache cleared and warm."""
+    sets = [p_bc, p_a, ParamSet(1.5, 0.3, 0.2, 0.5), ParamSet(0.05, 0.05, 0.77, 0.9)]
+
+    def pieces():
+        for p in sets:
+            maps = [map_shift_bc(p, normalized=True), map_shift_a(p), map_shift_all(p),
+                    map_zphi(p)]
+            for M in (256, 1024):
+                yield lambda: [w.tobytes() for w in sample_circles(maps, 0.99, M)]
+            for n_angles in (16, 32):
+                radii = geomtest._kq_points(KqGrid(16, n_angles, 0.99))[0]
+                yield lambda: geomtest._eval_on_rings(
+                    geomtest._heine_side(p), np.concatenate([radii, p.q * radii]),
+                    n_angles).tobytes()
+
+    cold = []
+    for piece in pieces():
+        _clear_tables()
+        cold.append(piece())
+    assert [piece() for piece in pieces()] == cold

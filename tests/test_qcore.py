@@ -1,10 +1,12 @@
 import math
+import sys
+import threading
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qheine import geomtest, gfrac, qcore
@@ -246,10 +248,73 @@ class TestHeinePoleSplit:
         assert {("terminating", True), ("m = 0", False), ("m = 0", True),
                 ("m > 0", False), ("m > 0", True)} <= seen
 
+    @given(q=st.floats(0.05, 0.95), v=st.one_of(st.floats(-3.0, 3.0), st.integers(0, 3)),
+           others=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           long_first=st.booleans())
+    @example(q=0.5, v=2, others=[0.3, -0.2, 2.9, -2.5], long_first=False)
+    @example(q=0.5, v=2, others=[0.3, -0.2, 2.9, -2.5], long_first=True)
+    @settings(max_examples=60, deadline=None)
+    def test_cached_rows_keep_the_bits(self, q, v, others, long_first):
+        # two sets share the factor row of v at different K: whichever
+        # builds it, the other reads it (a prefix, or a longer rebuild), and
+        # both keep the bits of the uncached split.  v = q^-k > 1 has
+        # factors of both signs and, at q = 1/2, a unit one that ends the
+        # series where v is a or b
+        if isinstance(v, int):
+            v = q**-v
+        short = (v, 0.01 * others[0], 0.01 * others[1], q)
+        long = (others[2], others[3], v, q)
+        qcore.FACTOR_ROWS.clear()
+        heine_pole_split.cache_clear()
+        for abcq in (long, short) if long_first else (short, long):
+            try:
+                p = ParamSet(*abcq)
+            except DomainError:
+                continue
+            L, m, C = heine_pole_split(p)
+            want_L, want_m, want_C = general_pole_split(p)
+            assert (L, m, C.tobytes()) == (want_L, want_m, want_C.tobytes()), abcq
+        assert len(qcore.FACTOR_ROWS) <= 6  # v and q have one row each
+
     def test_term_count_from_q_alone(self):
         counts = [len(heine_pole_split(ParamSet(0.5, 0.5, 0.2, q))[2])
                   for q in (0.1, 0.5, 0.9)]
         assert counts[0] < counts[1] < counts[2] <= 400
+
+    def test_rows_shared_between_threads(self):
+        # six threads on two cores split sets that share rows at three q's,
+        # more rows than the cache holds, so hits, rebuilds and evictions
+        # interleave; every split keeps its single-threaded bits
+        values = [0.05, 0.3, 0.6, 0.93, 1.7]
+        sets = [ParamSet(a, b, c, q) for q in (0.3, 0.6, 0.9) for a in values
+                for b in values[:3] for c in values[1:4]]
+        split = heine_pole_split.__wrapped__  # past the per-set cache
+        want = [(L, m, C.tobytes()) for L, m, C in map(split, sets)]
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(len(sets)):
+                    k = (i + 7 * offset) % len(sets)
+                    L, m, C = split(sets[k])
+                    if (L, m, C.tobytes()) != want[k]:
+                        errors.append(sets[k])
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(qcore.FACTOR_ROWS) <= qcore.FACTOR_ROWS.maxsize
 
     def test_q_too_close_to_one_refused(self):
         with pytest.raises(NoConvergence):

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from qheine import geomtest, qcore
 from qheine.errors import CapExceeded, CutError, DomainError
 from qheine.geomtest import (
     boundary_curve,
@@ -11,9 +14,11 @@ from qheine.geomtest import (
 )
 from qheine.qcore import ParamSet
 from qheine.scanner import (
+    ENV_THREADS,
     GridSpec,
     Range,
     ScanRecord,
+    default_threads,
     records_to_csv,
     scan,
     scan_point,
@@ -100,6 +105,38 @@ class TestScan:
         serial2 = records_to_csv(scan(grid, threads=1))
         parallel = records_to_csv(scan(grid, threads=2))
         assert serial1 == serial2 == parallel
+
+    def test_chunks_that_cut_a_q_group(self):
+        # 210 points in 12 chunks of 18: most chunks hold part of a q group,
+        # visit it q-major, and still return their records in index order
+        grid = GridSpec(a=Range(0.1, 0.9, 5), b=Range(0.2, 0.8, 3),
+                        c=Range(0.1, 0.5, 2), q=Range(0.15, 0.85, 7),
+                        curve_samples=256, kq_radii=8, kq_angles=8)
+        serial = scan(grid, threads=1)
+        assert scan(grid, threads=3) == serial
+        want = [(a, b, c, q) for a in grid.a.values() for b in grid.b.values()
+                for c in grid.c.values() for q in grid.q.values()]
+        assert [(r.a, r.b, r.c, r.q) for r in serial] == want
+
+    def test_caches_stay_within_their_size_on_a_12_4_grid(self):
+        # the kq test alone reads the split and all three ring tables
+        grid = GridSpec(a=Range(0.05, 0.93, 12), b=Range(0.05, 0.93, 12),
+                        c=Range(0.05, 0.93, 12), q=Range(0.1, 0.9, 12), run_bn=False,
+                        run_vconvex=False, kq_radii=4, kq_angles=4)
+        assert len(scan(grid, threads=1)) == 12**4
+        assert len(qcore.FACTOR_ROWS) <= qcore.FACTOR_ROWS.maxsize
+        for cache in (qcore.heine_pole_split, geomtest._turns, geomtest._kq_points,
+                      geomtest._ring_powers, geomtest._fold_powers,
+                      geomtest._pole_denominators):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
+
+    def test_default_threads_follow_the_cpu_mask(self, monkeypatch):
+        monkeypatch.delenv(ENV_THREADS, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert default_threads() == 1
+        monkeypatch.setenv(ENV_THREADS, "3")
+        assert default_threads() == 3
 
     def test_soundness_on_small_grid(self):
         grid = GridSpec(a=Range(0.05, 0.9, 4), b=Range(0.05, 0.9, 4),
