@@ -34,8 +34,6 @@ from .geomtest import (
     SequenceVerdict,
     bn_sequence,
     boundary_curve,
-    full_convexity_check,
-    identity_map,
     kq_conditions_check,
     kq_membership_test,
     map_gauss_ratio,
@@ -56,7 +54,6 @@ from .qcore import (
     heine_coeffs,
     heine_phi,
     log_q,
-    q_diff,
     q_gamma,
     q_pochhammer,
     verify_identities,

@@ -396,9 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = None  # built on the first main call; parsing leaves it unchanged
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except QHeineError as exc:

@@ -4,7 +4,7 @@ Contains the coefficient-sequence criterion (threshold T1 and the B_n
 chain), direct sampling of the q-close-to-convexity inequality
 |g(z) + f(qz) - f(z)| <= |g(z)| against g(z) = z/(1-z), and sign-change
 tests on sampled boundary curves for convexity in the direction of the
-imaginary axis and for full convexity.
+imaginary axis.
 
 Curves are images of circles |z| = r under maps z * N(z)/D(z).  Each of N
 and D is a side L (s z)^m/(1 - s z) + sum_n C_n (s z)^n.  A Heine series
@@ -119,6 +119,12 @@ def _pole_denominators(rho: bytes, M: int) -> np.ndarray:
     return _read_only(1.0 - np.frombuffer(rho)[:, None] * _turns(M))
 
 
+@lru_cache(maxsize=8)
+def _circle(r: float, M: int) -> np.ndarray:
+    """r e^{2 pi i k/M} for k = 0..M-1."""
+    return _read_only(r * _turns(M))
+
+
 def _fold_and_transform(parts, rho: np.ndarray, M: int) -> np.ndarray:
     """Parts (L, m, C) at rho[j, i] e^{2 pi i k/M}, shape (P, R, M).
 
@@ -144,20 +150,18 @@ def _fold_and_transform(parts, rho: np.ndarray, M: int) -> np.ndarray:
             C = np.concatenate([coeffs, np.zeros((-n) % M)]).reshape(-1, M)
             fold = _fold_powers(rho[j].tobytes(), M, len(C))
             np.multiply(powers[j], (C.T @ fold.T).T, out=F[j])
-    out = np.fft.ifft(F, axis=-1) * M
+    out = np.fft.ifft(F, axis=-1)
+    out *= M
     for j, (L, m, coeffs) in enumerate(parts):
         if L != 0.0:
-            r = rho[j][:, None]
-            out[j] += L * r**m * _turns(M, m) / _pole_denominators(rho[j].tobytes(), M)
+            den = _pole_denominators(rho[j].tobytes(), M)
+            if m:
+                pole = L * rho[j][:, None]**m * _turns(M, m)
+                pole /= den
+            else:  # rho^0 = 1 and the turns are 1 + 0i: the numerator is L + 0i
+                pole = L / den
+            out[j] += pole
     return out
-
-
-def _eval_on_rings(side, radii: np.ndarray, M: int) -> np.ndarray:
-    """A side at r_j e^{2 pi i k/M} for every radius, shape (len(radii), M);
-    the coefficients are requested at the largest radius."""
-    radii = np.asarray(radii, dtype=float)
-    L, m, coeffs, s = side(float(radii.max()))
-    return _fold_and_transform([(L, m, coeffs)], (s * radii)[None], M)[0]
 
 
 def sample_circles(maps: Sequence[CurveMap], r: float, M: int) -> Iterator[np.ndarray]:
@@ -190,11 +194,14 @@ def sample_circles(maps: Sequence[CurveMap], r: float, M: int) -> Iterator[np.nd
     if pairs:
         values = _fold_and_transform(parts, np.array(rhos).reshape(-1, 1), M)[:, 0]
         num, den = np.array(pairs).T
+        w = values[num]
         with np.errstate(all="ignore"):
-            w = values[num] / values[den] * (r * _turns(M))
+            w /= values[den]
+            w *= _circle(r, M)
         finite = np.isfinite(w)
+        all_finite = finite.all()
     for i, curve_map in enumerate(maps[:len(pairs)]):
-        if not finite[i].all():
+        if not (all_finite or finite[i].all()):
             bad = int(np.argmin(finite[i]))
             raise CutError(f"{curve_map.label}: non-finite curve sample at index {bad}")
         yield w[i]
@@ -254,10 +261,6 @@ def map_gauss_ratio(a: float, b: float, c: float) -> CurveMap:
     return CurveMap("gauss_ratio",
                     _series_side(lambda N: gauss_coeffs(a + 1.0, b, c, N).coeffs),
                     _series_side(lambda N: gauss_coeffs(a, b, c, N).coeffs))
-
-
-def identity_map() -> CurveMap:
-    return CurveMap("identity", _one_side, _one_side)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +365,12 @@ def kq_conditions_check(p: ParamSet) -> KqConditionReport:
     return KqConditionReport(KqRoute.NONE, False, details)
 
 
+@lru_cache(maxsize=8)
+def _bn_weights(q: float, N: int) -> np.ndarray:
+    """1 - q^n for n = 1..N."""
+    return _read_only(1.0 - q**np.arange(1, N + 1))
+
+
 def bn_sequence(p: ParamSet, N: int) -> SequenceClass:
     """The sequence B_n = A_n (1-q^n)/(1-q) for f(z) = z Phi[a,b;c;q,z].
 
@@ -372,14 +381,12 @@ def bn_sequence(p: ParamSet, N: int) -> SequenceClass:
     """
     if N < MIN_BN_N:
         raise DomainError(f"N must be >= {MIN_BN_N}, got {N}")
-    A = heine_coeffs(p, N - 1).coeffs
-    n = np.arange(1, N + 1)
-    B = A * (1.0 - p.q**n) / (1.0 - p.q)
+    B = heine_coeffs(p, N - 1).coeffs * _bn_weights(p.q, N) / (1.0 - p.q)
     tail = B[1:]
-    steps = np.diff(tail)
-    if np.all(steps <= _BN_SLACK) and tail[0] <= 1.0 + _BN_SLACK and tail[-1] >= -_BN_SLACK:
+    steps = tail[1:] - tail[:-1]
+    if (steps <= _BN_SLACK).all() and tail[0] <= 1.0 + _BN_SLACK and tail[-1] >= -_BN_SLACK:
         verdict = SequenceVerdict.DECREASING_01
-    elif np.all(steps >= -_BN_SLACK) and tail[0] >= 1.0 - _BN_SLACK and tail[-1] <= 2.0 + _BN_SLACK:
+    elif (steps >= -_BN_SLACK).all() and tail[0] >= 1.0 - _BN_SLACK and tail[-1] <= 2.0 + _BN_SLACK:
         verdict = SequenceVerdict.INCREASING_12
     else:
         verdict = SequenceVerdict.NEITHER
@@ -395,10 +402,15 @@ def _kq_points(grid: KqGrid) -> tuple:
     angles = np.exp(2j * np.pi * np.arange(grid.n_angles) / grid.n_angles)
     zs = radii[:, None] * angles[None, :]
     g = zs / (1.0 - zs)
-    out = radii, zs, g, np.abs(g)
-    for a in out:
-        a.setflags(write=False)
-    return out
+    return tuple(map(_read_only, (radii, zs, g, np.abs(g))))
+
+
+@lru_cache(maxsize=8)
+def _kq_rings(grid: KqGrid, q: float) -> tuple:
+    """The grid's radii and q times them as one row of rings, and q z at
+    the grid's points; read-only.  A grid sweep meets one per q."""
+    radii, zs = _kq_points(grid)[:2]
+    return _read_only(np.concatenate([radii, q * radii])[None]), _read_only(q * zs)
 
 
 def kq_membership_test(p: ParamSet, grid: KqGrid = KqGrid()) -> KqReport:
@@ -409,15 +421,20 @@ def kq_membership_test(p: ParamSet, grid: KqGrid = KqGrid()) -> KqReport:
     point z = 0 is excluded (there the criterion degenerates to the
     normalisation f'(0) = 1).
     """
-    radii, zs, g, g_abs = _kq_points(grid)
-    phi = _eval_on_rings(_heine_side(p), np.concatenate([radii, p.q * radii]),
-                         grid.n_angles)
-    fz = zs * phi[: grid.n_radii]
-    fqz = p.q * zs * phi[grid.n_radii :]
-    ratio = np.abs(g + fqz - fz) / g_abs
-    k = int(np.argmax(ratio))
-    worst = complex(zs.ravel()[k])
-    max_ratio = float(ratio.ravel()[k])
+    _, zs, g, g_abs = _kq_points(grid)
+    rings, qzs = _kq_rings(grid, p.q)
+    phi = _fold_and_transform([heine_pole_split(p)], rings, grid.n_angles)[0]
+    # |g + f(qz) - f(z)| / |g|, formed in phi's rows
+    fz, fqz = phi[:grid.n_radii], phi[grid.n_radii:]
+    np.multiply(zs, fz, out=fz)
+    np.multiply(qzs, fqz, out=fqz)
+    np.add(g, fqz, out=fqz)
+    fqz -= fz
+    ratio = abs(fqz)
+    ratio /= g_abs
+    k = int(ratio.argmax())
+    worst = complex(zs.flat[k])
+    max_ratio = float(ratio.flat[k])
     return KqReport(max_ratio, worst, max_ratio <= 1.0 + _KQ_SLACK)
 
 
@@ -468,20 +485,3 @@ def vertical_convexity_check(curve: BoundaryCurve, tol: float = 1e-9) -> Convexi
     d[-1] = x[0] - x[-1]
     changes = _cyclic_sign_changes(d, tol * diam)
     return ConvexityReport(changes == 2, changes)
-
-
-def full_convexity_check(curve: BoundaryCurve, tol: float = 1e-9) -> ConvexityReport:
-    """Full convexity via the discrete cross product of successive edges.
-
-    Zero sign changes of (w_{k+1}-w_k) x (w_{k+2}-w_{k+1}) means the
-    sampled curve never changes turning direction, i.e. is convex.
-    """
-    w = curve.samples
-    u = np.roll(w, -1) - w
-    v = np.roll(u, -1)
-    cross = u.real * v.imag - u.imag * v.real
-    mx = float(np.abs(cross).max())
-    if mx == 0.0:
-        raise DegenerateCurve("curve has no turning; cross products all vanish")
-    changes = _cyclic_sign_changes(cross, tol * mx)
-    return ConvexityReport(changes == 0, changes)

@@ -104,12 +104,6 @@ class PowerSeries:
 
     coeffs: np.ndarray
 
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return acc
-
 
 def q_pochhammer(a: complex, q: float, n: Union[int, float]) -> complex:
     """(a;q)_n = prod_{k=0}^{n-1} (1 - a q^k); n may be INFINITY.
@@ -156,17 +150,6 @@ def _gauss_ratios(a: float, b: float, c: float, N: int) -> np.ndarray:
     """Term ratios (a+n)(b+n)/((c+n)(1+n)) of F(a,b;c;z) for n = 0..N-1."""
     n = np.arange(N)
     return (a + n) * (b + n) / ((c + n) * (1.0 + n))
-
-
-def heine_coeffs(p: ParamSet, N: int) -> PowerSeries:
-    """Coefficients (a;q)_n (b;q)_n / ((c;q)_n (q;q)_n) for n = 0..N.
-
-    Built by the multiplicative recurrence, vectorised as a cumulative
-    product; raises DenominatorZero if any factor (1 - c q^n) vanishes.
-    """
-    if N < 0:
-        raise DomainError(f"N must be >= 0, got {N}")
-    return PowerSeries(np.concatenate([[1.0], np.cumprod(_heine_ratios(p, N))]))
 
 
 def _split_terms(p: ParamSet) -> int:
@@ -248,7 +231,37 @@ class _FactorRows:
 FACTOR_ROWS = _FactorRows(maxsize=32)
 
 
+def _leading_coeffs(fa, fb, fc, fq, count: int) -> np.ndarray:
+    """A_0..A_count from the factor rows of a, b, c and q: one cumulative
+    product of the term ratios (1-aq^n)(1-bq^n)/((1-cq^n)(1-q^{n+1}))."""
+    ratios = fa[:count] * fb[:count] / (fc[:count] * fq[:count])
+    return np.concatenate([[1.0], ratios.cumprod()])
+
+
+_A0 = np.ones(1)  # A_0 alone, as _leading_coeffs gives it at count 0
+_A0.setflags(write=False)
+
+
+def heine_coeffs(p: ParamSet, N: int) -> PowerSeries:
+    """Coefficients (a;q)_n (b;q)_n / ((c;q)_n (q;q)_n) for n = 0..N.
+
+    Built by the multiplicative recurrence from the FACTOR_ROWS rows of a,
+    b, c and q, by the kernel that gives the pole split its leading
+    coefficients, so a grid sweep reuses the rows its splits built.  The
+    bits are those of one cumulative product of _heine_ratios.  Raises
+    DenominatorZero if any factor (1 - c q^n) vanishes.
+    """
+    if N < 0:
+        raise DomainError(f"N must be >= 0, got {N}")
+    (fa, *_), (fb, *_), (fc, _, _, uc), (fq, *_) = FACTOR_ROWS.rows(
+        (p.a, p.b, p.c, p.q), p.q, N)
+    if uc is not None and uc < N:
+        raise DenominatorZero(f"(1 - c q^n) vanished for p={p}")
+    return PowerSeries(_leading_coeffs(fa, fb, fc, fq, N))
+
+
 @lru_cache(maxsize=256)
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked at the end
 def heine_pole_split(p: ParamSet) -> Tuple[float, int, np.ndarray]:
     """(L, m, C) with Phi[a,b;c;q,z] = L z^m/(1-z) + sum_n C_n z^n.
 
@@ -263,8 +276,9 @@ def heine_pole_split(p: ParamSet) -> Tuple[float, int, np.ndarray]:
     product that gives A_0..A_m, so the pole and the leading coefficients
     cancel consistently where |L| dwarfs |Phi|.  A vanishing numerator factor
     terminates the series: then L = 0, m = 0 and C holds its coefficients.
-    The factors and their logs come from FACTOR_ROWS.  The result is
-    cached; C is read-only.
+    The factors and their logs come from FACTOR_ROWS.  Raises NoConvergence
+    where L or C leaves double range.  The result is cached; C is
+    read-only.
     """
     a, b, c, q = p.a, p.b, p.c, p.q
     K = _split_terms(p)
@@ -277,34 +291,31 @@ def heine_pole_split(p: ParamSet) -> Tuple[float, int, np.ndarray]:
     (fa, la, na, ua), (fb, lb, nb, ub), (fc, lc, nc, uc), (fq, lq, _, _) = rows
     if uc is not None and uc < n:
         raise DenominatorZero(f"(1 - c q^n) vanished for p={p}")
-
-    def leading(count):  # A_0..A_count, as heine_coeffs gives them
-        ratios = fa[:count] * fb[:count] / (fc[:count] * fq[:count])
-        return np.concatenate([[1.0], np.cumprod(ratios)])
-
     ends = [u for u in (ua, ub) if u is not None and u < n]
     if ends:
-        C = leading(min(ends))
-        C.setflags(write=False)
-        return 0.0, 0, C
-    negative = [f[:n] for f in (na, nb, nc) if f is not None]
-    if negative:
-        flip = np.cumsum(sum(negative)[::-1])[::-1][:K] % 2 == 1
+        L, m, C = 0.0, 0, _leading_coeffs(fa, fb, fc, fq, min(ends))
     else:
-        flip = None
-    logs = la[:n] + lb[:n] - lc[:n] - lq[:n]
-    S = np.cumsum(logs[::-1])[::-1][:K]
-    e = np.exp(-S)
-    rel = np.expm1(-S)  # (A_n - L)/L
-    if flip is not None:
-        rel = np.where(flip, -e - 1.0, rel)
-    larger = np.nonzero(np.abs(rel) > e)[0]
-    m = min(int(larger[-1]) + 1, K - 1) if len(larger) else 0
-    A = leading(m)
-    sign = -1.0 if flip is not None and flip[m] else 1.0
-    L = float(A[m] * np.exp(S[m])) * sign  # inf beyond double range
-    C = L * rel
-    C[:m] = A[:m]
+        negative = [f[:n] for f in (na, nb, nc) if f is not None]
+        if negative:
+            flip = sum(negative)[::-1].cumsum()[::-1][:K] % 2 == 1
+        else:
+            flip = None
+        logs = la[:n] + lb[:n] - lc[:n] - lq[:n]
+        S = logs[::-1].cumsum()[::-1][:K]
+        minus_S = -S
+        e = np.exp(minus_S)
+        rel = np.expm1(minus_S)  # (A_n - L)/L
+        if flip is not None:
+            rel = np.where(flip, -e - 1.0, rel)
+        larger = (abs(rel) > e).nonzero()[0]
+        m = min(int(larger[-1]) + 1, K - 1) if len(larger) else 0
+        A = _leading_coeffs(fa, fb, fc, fq, m) if m else _A0
+        sign = -1.0 if flip is not None and flip[m] else 1.0
+        L = float(A[m] * np.exp(S[m])) * sign
+        C = L * rel
+        C[:m] = A[:m]
+    if not (math.isfinite(L) and np.isfinite(C).all()):
+        raise NoConvergence(f"pole split leaves double range (L = {L}) for p={p}")
     C.setflags(write=False)
     return L, m, C
 
@@ -425,27 +436,6 @@ def gauss_coeffs(a: float, b: float, c: float, N: int) -> PowerSeries:
     if c <= 0.0 and c == int(c):
         raise DomainError(f"c must not be a nonpositive integer, got {c}")
     return PowerSeries(np.concatenate([[1.0], np.cumprod(_gauss_ratios(a, b, c, N))]))
-
-
-def q_diff(f: Union[PowerSeries, Callable[[complex], complex]], q: float,
-           z: complex) -> complex:
-    """q-difference operator (f(z) - f(qz)) / (z (1-q)); f'(0) at z = 0.
-
-    A PowerSeries is differentiated term by term, D_q z^n = [n]_q z^{n-1},
-    so no z divides and tiny or subnormal z lose nothing; at z = 0 this is
-    the exact first coefficient.  A plain callable at z = 0 is approximated
-    by a Richardson-extrapolated quotient at a small radius.
-    """
-    require_unit_interval(q=q)
-    if isinstance(f, PowerSeries):
-        n = np.arange(1, len(f.coeffs))
-        return complex(PowerSeries(f.coeffs[1:] * ((1.0 - q**n) / (1.0 - q)))(z))
-    if z == 0:
-        h = 1e-5
-        d1 = (f(h) - f(q * h)) / (h * (1.0 - q))
-        d2 = (f(h / 2) - f(q * h / 2)) / ((h / 2) * (1.0 - q))
-        return 2.0 * d2 - d1
-    return (f(z) - f(q * z)) / (z * (1.0 - q))
 
 
 def q_gamma(x: float, q: float) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,10 +75,12 @@ class GridSpec:
     kq_rmax: float = 0.99
     bn_n: int = 100
     cap: int = 100_000
+    kq_grid: KqGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the bounds the tests enforce per point, checked once for the sweep
-        KqGrid(self.kq_radii, self.kq_angles, self.kq_rmax)
+        object.__setattr__(self, "kq_grid",
+                           KqGrid(self.kq_radii, self.kq_angles, self.kq_rmax))
         require_unit_interval(curve_r=self.curve_r)
         if self.curve_samples < MIN_CURVE_SAMPLES:
             raise DomainError(f"curve_samples must be >= {MIN_CURVE_SAMPLES}, "
@@ -158,8 +160,8 @@ def scan_point(a: float, b: float, c: float, q: float, grid: GridSpec) -> ScanRe
     bn_verdict = _run_test("bn", grid.run_bn, notes,
                            lambda: bn_sequence(p, grid.bn_n).verdict.value)
     vconvex = _run_test("vconvex", grid.run_vconvex, notes, vconvex_test)
-    emp_kq = _run_test("kq", grid.run_kq, notes, lambda: kq_membership_test(
-        p, KqGrid(grid.kq_radii, grid.kq_angles, grid.kq_rmax)).passed)
+    emp_kq = _run_test("kq", grid.run_kq, notes,
+                       lambda: kq_membership_test(p, grid.kq_grid).passed)
     return ScanRecord(a, b, c, q, hyp1, hyp2, kq_route, bn_verdict, vconvex,
                       emp_kq, tuple(notes))
 

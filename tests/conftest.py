@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qheine.errors import DegenerateCurve
+from qheine.geomtest import ConvexityReport, CurveMap, _cyclic_sign_changes
 from qheine.gfrac import hypothesis_check
 from qheine.qcore import ParamSet
 
@@ -43,6 +45,32 @@ def sample_hypothesis_passing(rng, n, variant, q_max=0.95):
         if hypothesis_check(variant, p).passed:
             out.append(p)
     return out
+
+
+def _one_side(r):
+    return 0.0, 0, np.ones(1), 1.0
+
+
+def identity_map():
+    """z -> z as a curve map: both sides are the constant 1."""
+    return CurveMap("identity", _one_side, _one_side)
+
+
+def full_convexity_check(curve, tol=1e-9):
+    """Full convexity via the discrete cross product of successive edges.
+
+    Zero sign changes of (w_{k+1}-w_k) x (w_{k+2}-w_{k+1}) means the
+    sampled curve never changes turning direction, i.e. is convex.
+    """
+    w = curve.samples
+    u = np.roll(w, -1) - w
+    v = np.roll(u, -1)
+    cross = u.real * v.imag - u.imag * v.real
+    mx = float(np.abs(cross).max())
+    if mx == 0.0:
+        raise DegenerateCurve("curve has no turning; cross products all vanish")
+    changes = _cyclic_sign_changes(cross, tol * mx)
+    return ConvexityReport(changes == 0, changes)
 
 
 def sample_disk(rng, n, radius=0.8):

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import sample_disk, sample_hypothesis_passing
+from conftest import full_convexity_check, sample_disk, sample_hypothesis_passing
 from qheine.cli import main as cli_main
 from qheine.geomtest import (
     KqGrid,
@@ -17,7 +17,6 @@ from qheine.geomtest import (
     SequenceVerdict,
     bn_sequence,
     boundary_curve,
-    full_convexity_check,
     kq_conditions_check,
     kq_membership_test,
     map_shift_a,

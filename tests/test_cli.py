@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import identity_map
 from qheine.cli import curve_to_csv, curve_to_svg, load_grid_config, main
-from qheine.geomtest import BoundaryCurve, boundary_curve, identity_map
+from qheine.geomtest import BoundaryCurve, boundary_curve
 from qheine.scanner import GridSpec, Range
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_hypothesis_passing, sample_params
+from conftest import full_convexity_check, identity_map, sample_hypothesis_passing, sample_params
 from qheine import geomtest, qcore
 from qheine.errors import DegenerateCurve, DomainError, NoConvergence, QHeineError
 from qheine.gfrac import RatioVariant, hypothesis_check
@@ -18,8 +18,6 @@ from qheine.geomtest import (
     SequenceVerdict,
     bn_sequence,
     boundary_curve,
-    full_convexity_check,
-    identity_map,
     kq_conditions_check,
     kq_membership_test,
     map_gauss_ratio,
@@ -417,16 +415,18 @@ def test_sample_circles_defers_a_later_error():
 
 
 def _clear_tables():
-    for cache in (geomtest._ring_powers, geomtest._fold_powers,
-                  geomtest._pole_denominators, geomtest._turns, qcore.heine_pole_split):
+    for cache in (geomtest._ring_powers, geomtest._fold_powers, geomtest._pole_denominators,
+                  geomtest._turns, geomtest._circle, geomtest._kq_points, geomtest._kq_rings,
+                  geomtest._bn_weights, qcore.heine_pole_split):
         cache.cache_clear()
     qcore.FACTOR_ROWS.clear()
 
 
 def test_ring_tables_cold_and_warm_give_the_same_bytes(p_a, p_bc):
-    """The cached ring tables and factor rows change no bit: curves at two
-    sample counts and kq rings at two angle counts, each with several fold
-    lengths, read the same bytes with every cache cleared and warm."""
+    """The cached ring tables, kq tables, B_n weights and factor rows change
+    no bit: curves at two sample counts, kq reports at two angle counts,
+    each with several fold lengths, and B_n chains read the same bytes with
+    every cache cleared and warm."""
     sets = [p_bc, p_a, ParamSet(1.5, 0.3, 0.2, 0.5), ParamSet(0.05, 0.05, 0.77, 0.9)]
 
     def pieces():
@@ -436,13 +436,56 @@ def test_ring_tables_cold_and_warm_give_the_same_bytes(p_a, p_bc):
             for M in (256, 1024):
                 yield lambda: [w.tobytes() for w in sample_circles(maps, 0.99, M)]
             for n_angles in (16, 32):
-                radii = geomtest._kq_points(KqGrid(16, n_angles, 0.99))[0]
-                yield lambda: geomtest._eval_on_rings(
-                    geomtest._heine_side(p), np.concatenate([radii, p.q * radii]),
-                    n_angles).tobytes()
+                yield lambda: repr(kq_membership_test(p, KqGrid(16, n_angles, 0.99)))
+            yield lambda: bn_sequence(p, 100).B.tobytes()
 
     cold = []
     for piece in pieces():
         _clear_tables()
         cold.append(piece())
     assert [piece() for piece in pieces()] == cold
+
+
+def ring_kq_report(p, grid):
+    """kq_membership_test as it was written: Phi on the 2 n_radii explicit
+    rings radii and q radii, its pole part added out of place, and the
+    ratio formed out of place."""
+    radii, zs, g, g_abs = geomtest._kq_points(grid)
+    rho = 1.0 * np.concatenate([radii, p.q * radii])
+    L, m, C = qcore.heine_pole_split(p)
+    M = grid.n_angles
+    phi = geomtest._fold_and_transform([(0.0, m, C)], rho[None], M)[0]
+    if L != 0.0:
+        r = rho[:, None]
+        phi += L * r**m * geomtest._turns(M, m) / (1.0 - r * geomtest._turns(M))
+    fz = zs * phi[: grid.n_radii]
+    fqz = p.q * zs * phi[grid.n_radii :]
+    ratio = np.abs(g + fqz - fz) / g_abs
+    k = int(np.argmax(ratio))
+    return float(ratio.ravel()[k]), complex(zs.ravel()[k])
+
+
+def test_kq_report_keeps_the_ring_bits():
+    """The per-(grid, q) ring tables and the in-place ratio keep every bit
+    of the ring expression, on 50 seeded sets (terminating, m > 0, factors
+    above 1, negative parameters) over three grids."""
+    rng = np.random.default_rng(21)
+    sets = [(0.9, 0.7, 0.6, 0.8), (0.05, 0.05, 0.77, 0.9), (4.0, 0.6, 0.3, 0.5),
+            (1.5, 0.3, 0.2, 0.5), (-0.5, -0.3, -0.2, 0.4)]
+    sets += [(*rng.uniform(-0.9, 0.95, 3), rng.uniform(0.05, 0.95)) for _ in range(30)]
+    sets += [(*rng.uniform(-3.0, 3.0, 3), rng.uniform(0.05, 0.95)) for _ in range(15)]
+    grids = [KqGrid(), KqGrid(32, 32, 0.99), KqGrid(7, 12, 0.9)]
+    compared = 0
+    for abcq in sets:
+        p = ParamSet(*abcq)
+        for grid in grids:
+            try:
+                want = ring_kq_report(p, grid)
+            except QHeineError as exc:
+                with pytest.raises(type(exc)):
+                    kq_membership_test(p, grid)
+                continue
+            rep = kq_membership_test(p, grid)
+            assert (rep.max_ratio, rep.worst_z) == want, (abcq, grid)
+            compared += 1
+    assert compared >= 120

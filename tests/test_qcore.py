@@ -10,17 +10,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qheine import geomtest, gfrac, qcore
-from qheine.errors import DomainError, NoConvergence
+from qheine.errors import DenominatorZero, DomainError, NoConvergence
 from qheine.qcore import (
     INFINITY,
     ParamSet,
-    PowerSeries,
     gauss_f,
     heine_coeffs,
     heine_phi,
     heine_pole_split,
     log_q,
-    q_diff,
     q_gamma,
     q_pochhammer,
     verify_identities,
@@ -137,15 +135,21 @@ def split_value(split, z):
     return L * z**m / (1.0 - z) + np.polyval(C[::-1], z)
 
 
+def ratio_coeffs(p, N):
+    """A_0..A_N as heine_coeffs computed them before it read the factor
+    rows: one cumulative product of _heine_ratios."""
+    return np.concatenate([[1.0], np.cumprod(qcore._heine_ratios(p, N))])
+
+
 def general_pole_split(p):
-    """heine_pole_split with its sign bookkeeping always on and heine_coeffs
-    always called, as it was written before those shortcuts."""
+    """heine_pole_split with its sign bookkeeping always on and the leading
+    coefficients always computed, as it was written before those shortcuts."""
     a, b, c, q = p.a, p.b, p.c, p.q
     K = qcore._split_terms(p)
     x = np.outer([a, b, c, q], qcore.geometric_powers(q, 2 * K))
     zero = np.nonzero(np.any(x[:2] == 1.0, axis=0))[0]
     if len(zero):
-        return 0.0, 0, heine_coeffs(p, int(zero[0])).coeffs
+        return 0.0, 0, ratio_coeffs(p, int(zero[0]))
     lg = np.log1p(np.where(x > 1.0, x - 2.0, -x))
     logs = lg[0] + lg[1] - lg[2] - lg[3]
     negative = np.sum(x[:3] > 1.0, axis=0)
@@ -154,7 +158,7 @@ def general_pole_split(p):
     rel = np.where(flip, -np.exp(-S) - 1.0, np.expm1(-S))
     larger = np.nonzero(np.abs(rel) > np.exp(-S))[0]
     m = min(int(larger[-1]) + 1, K - 1) if len(larger) else 0
-    A = heine_coeffs(p, m).coeffs
+    A = ratio_coeffs(p, m)
     L = float(A[m] * np.exp(S[m])) * (-1.0 if flip[m] else 1.0)
     C = L * rel
     C[:m] = A[:m]
@@ -320,8 +324,57 @@ class TestHeinePoleSplit:
         with pytest.raises(NoConvergence):
             heine_pole_split(ParamSet(0.5, 0.5, 0.2, 0.99999))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_without_numpy_warnings(self):
+        # A_0..A_1239 overflow on the way to L, so L and C leave double range
+        p = ParamSet(-2.319164400522353, -2.2460767121074627, 0.7845937884972892,
+                     0.9940884726147141)
+        with pytest.raises(NoConvergence, match="double range"):
+            heine_pole_split(p)
+        with pytest.raises(NoConvergence, match="double range"):
+            heine_phi(p, 0.99)
+
+
+def unchecked_params(a, b, c, q):
+    """A ParamSet built past its check, so that (1 - c q^n) can vanish."""
+    p = object.__new__(ParamSet)
+    for name, value in zip("abcq", (a, b, c, q)):
+        object.__setattr__(p, name, value)
+    return p
+
 
 class TestHeineCoeffs:
+    @given(abc=st.lists(st.one_of(st.floats(-3.0, 3.0), st.floats(0.0, 1.0),
+                                  st.integers(0, 4)), min_size=3, max_size=3),
+           q=st.floats(0.05, 0.95), N=st.integers(0, 300),
+           rows=st.sampled_from(["cold", "shorter", "longer"]))
+    @example(abc=[2, 0.3, 0.2], q=0.5, N=10, rows="cold")
+    @example(abc=[0.3, -2.5, 3], q=0.5, N=10, rows="shorter")
+    @example(abc=[0.3, 0.4, 3], q=0.5, N=10, rows="longer")
+    @settings(max_examples=80, deadline=None)
+    def test_bits_match_the_ratio_product(self, abc, q, N, rows):
+        # read from the factor rows, the coefficients keep the bits of one
+        # cumulative product of _heine_ratios, whether the rows are cold,
+        # cached shorter (rebuilt longer) or cached longer (a prefix read).
+        # An integer k stands for q^-k > 1, whose factors take both signs:
+        # for a or b the series terminates, for c the ParamSet check is
+        # bypassed and (1 - c q^k) vanishes, which must raise
+        a, b, c = (q**-v if isinstance(v, int) else v for v in abc)
+        p = unchecked_params(a, b, c, q)
+        qcore.FACTOR_ROWS.clear()
+        if rows != "cold":
+            try:
+                heine_coeffs(p, N // 2 if rows == "shorter" else 2 * N + 5)
+            except DenominatorZero:
+                pass
+        try:
+            want = ratio_coeffs(p, N)
+        except DenominatorZero:
+            with pytest.raises(DenominatorZero):
+                heine_coeffs(p, N)
+            return
+        assert heine_coeffs(p, N).coeffs.tobytes() == want.tobytes()
+
     def test_order_zero(self):
         ps = heine_coeffs(ParamSet(0.3, 0.4, 0.5, 0.6), 0)
         assert list(ps.coeffs) == [1.0]
@@ -428,6 +481,18 @@ class TestHeinePhi:
                      lambda: verify_identities(p_bc, 0.3, tol=math.nan)):
             with pytest.raises(DomainError, match="tol"):
                 call()
+
+    def test_q_derivative_shift_identity(self, p_bc):
+        # z (D_q Phi)(z) = ((1-a)(1-b)/((1-c)(1-q))) z Phi[aq,bq;cq;q,z],
+        # D_q f(z) = (f(z) - f(qz)) / (z (1-q))
+        a, b, c, q = p_bc.a, p_bc.b, p_bc.c, p_bc.q
+        z = 0.4
+        dq = ((heine_phi(p_bc, z, 1e-14).value - heine_phi(p_bc, q * z, 1e-14).value)
+              / (z * (1.0 - q)))
+        shifted = ParamSet(a * q, b * q, c * q, q)
+        want = ((1 - a) * (1 - b) / ((1 - c) * (1 - q))
+                * heine_phi(shifted, z, 1e-14).value)
+        assert abs(dq - want) < 1e-12
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_non_finite_z_rejected(self, p_bc, bad):
@@ -620,47 +685,6 @@ class TestGaussF:
     def test_invalid_c(self):
         with pytest.raises(DomainError):
             gauss_f(0.5, 0.5, -2.0, 0.3)
-
-
-class TestQDiff:
-    def test_monomial_spot(self):
-        f = PowerSeries(np.array([0.0, 0.0, 1.0]))
-        assert q_diff(f, 0.5, 1.0) == pytest.approx(1.5)
-
-    @given(n=st.integers(min_value=1, max_value=8),
-           q=st.floats(min_value=0.1, max_value=0.9),
-           x=st.floats(min_value=-0.9, max_value=0.9))
-    @settings(max_examples=50, deadline=None)
-    def test_monomial_rule(self, n, q, x):
-        coeffs = np.zeros(n + 1)
-        coeffs[n] = 1.0
-        f = PowerSeries(coeffs)
-        want = (1.0 - q**n) / (1.0 - q) * x ** (n - 1)
-        if x == 0.0 and n == 1:
-            want = 1.0
-        got = q_diff(f, q, x) if x != 0 else q_diff(f, q, 0)
-        assert complex(got) == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-    @pytest.mark.parametrize("x", [5e-324, -5e-324, 1e-310])
-    def test_subnormal_z(self, x):
-        # z (1-q) underflows to 0 here; the term-by-term rule never divides by z
-        f = PowerSeries(np.array([0.3, 1.0, 2.0]))
-        assert complex(q_diff(f, 0.5, x)) == pytest.approx(1.0, rel=1e-12)
-
-    def test_series_at_zero_is_first_coefficient(self, p_bc):
-        f = heine_coeffs(p_bc, 10)
-        want = (1 - p_bc.a) * (1 - p_bc.b) / ((1 - p_bc.c) * (1 - p_bc.q))
-        assert q_diff(f, p_bc.q, 0.0) == pytest.approx(want, rel=1e-15)
-
-    def test_q_derivative_shift_identity(self, p_bc):
-        # z (D_q Phi)(z) = ((1-a)(1-b)/((1-c)(1-q))) z Phi[aq,bq;cq;q,z]
-        a, b, c, q = p_bc.a, p_bc.b, p_bc.c, p_bc.q
-        z = 0.4
-        dq = q_diff(lambda w: heine_phi(p_bc, w, 1e-14).value, q, z)
-        shifted = ParamSet(a * q, b * q, c * q, q)
-        want = ((1 - a) * (1 - b) / ((1 - c) * (1 - q))
-                * heine_phi(shifted, z, 1e-14).value)
-        assert abs(dq - want) < 1e-12
 
 
 class TestQGamma:

@@ -119,15 +119,17 @@ class TestScan:
         assert [(r.a, r.b, r.c, r.q) for r in serial] == want
 
     def test_caches_stay_within_their_size_on_a_12_4_grid(self):
-        # the kq test alone reads the split and all three ring tables
+        # the kq test alone reads the split, all three ring tables and the
+        # per-q kq tables; the B_n chain reads its weights
         grid = GridSpec(a=Range(0.05, 0.93, 12), b=Range(0.05, 0.93, 12),
-                        c=Range(0.05, 0.93, 12), q=Range(0.1, 0.9, 12), run_bn=False,
-                        run_vconvex=False, kq_radii=4, kq_angles=4)
+                        c=Range(0.05, 0.93, 12), q=Range(0.1, 0.9, 12), run_bn=True,
+                        run_vconvex=False, kq_radii=4, kq_angles=4, bn_n=4)
         assert len(scan(grid, threads=1)) == 12**4
         assert len(qcore.FACTOR_ROWS) <= qcore.FACTOR_ROWS.maxsize
         for cache in (qcore.heine_pole_split, geomtest._turns, geomtest._kq_points,
                       geomtest._ring_powers, geomtest._fold_powers,
-                      geomtest._pole_denominators):
+                      geomtest._pole_denominators, geomtest._kq_rings,
+                      geomtest._bn_weights):
             info = cache.cache_info()
             assert info.currsize <= info.maxsize
 
